@@ -4,6 +4,9 @@
 #include "collector/normalizer.h"
 
 #include <algorithm>
+#include <cctype>
+#include <compare>
+#include <cstdint>
 #include <tuple>
 
 #include "util/strings.h"
@@ -67,103 +70,148 @@ bool Normalizer::normalize(const RawRecord& raw, NormalizedRecord& out) const {
 
 bool Normalizer::normalize_impl(const RawRecord& raw,
                                 NormalizedRecord& out) const {
-  out = NormalizedRecord{};
   out.source = raw.source;
-  out.field = raw.field;
-  out.body = raw.body;
-  out.value = raw.value;
-  out.attrs = raw.attrs;
+  out.router.clear();
+  out.device.clear();
+  out.interface.clear();
   switch (raw.source) {
     case SourceType::kSyslog: {
-      std::string name = util::to_lower(raw.device);
-      auto router = net_.find_router(name);
-      if (!router) {
-        ++dropped_;
-        return false;
-      }
-      out.router = name;
+      out.router.resize(raw.device.size());
+      std::transform(raw.device.begin(), raw.device.end(), out.router.begin(),
+                     [](unsigned char c) { return std::tolower(c); });
+      auto router = net_.find_router(out.router);
+      if (!router) return reject();
       const topology::Router& r = net_.router(*router);
       out.utc = net_.pop(r.pop).timezone.to_utc(raw.timestamp);
-      return true;
+      break;
     }
     case SourceType::kSnmp: {
-      std::string name = raw.device;
-      if (auto dot = name.find('.'); dot != std::string::npos) {
-        name.resize(dot);  // strip the poller's FQDN suffix
-      }
-      if (!net_.find_router(name)) {
-        ++dropped_;
-        return false;
-      }
-      out.router = name;
+      // Strip the poller's FQDN suffix.
+      std::string_view name = raw.device;
+      name = name.substr(0, name.find('.'));
+      if (!net_.find_router(name)) return reject();
+      out.router.assign(name);
       auto it = raw.attrs.find("interface");
       if (it != raw.attrs.end()) out.interface = it->second;
       out.utc = raw.timestamp;  // SNMP poller stamps UTC
-      return true;
+      break;
     }
     case SourceType::kLayer1Log: {
       auto it = l1_by_name_.find(raw.device);
-      if (it == l1_by_name_.end()) {
-        ++dropped_;
-        return false;
-      }
+      if (it == l1_by_name_.end()) return reject();
       out.device = raw.device;
       const topology::Layer1Device& d = net_.layer1_device(it->second);
       out.utc = net_.pop(d.pop).timezone.to_utc(raw.timestamp);
-      return true;
+      break;
     }
     case SourceType::kTacacs:
     case SourceType::kWorkflowLog: {
-      if (!net_.find_router(raw.device)) {
-        ++dropped_;
-        return false;
-      }
+      if (!net_.find_router(raw.device)) return reject();
       out.router = raw.device;
       out.utc = raw.timestamp;
-      return true;
+      break;
     }
     case SourceType::kOspfMon: {
       auto rit = raw.attrs.find("router");
       auto iit = raw.attrs.find("interface");
       if (rit == raw.attrs.end() || iit == raw.attrs.end() ||
           !net_.find_router(rit->second)) {
-        ++dropped_;
-        return false;
+        return reject();
       }
       out.router = rit->second;
       out.interface = iit->second;
       out.utc = raw.timestamp;
-      return true;
+      break;
     }
     case SourceType::kBgpMon:
     case SourceType::kPerfMon:
     case SourceType::kCdnMon:
     case SourceType::kServerLog: {
       out.utc = raw.timestamp;
-      return true;
+      break;
     }
+    default:
+      return reject();
   }
-  ++dropped_;
-  return false;
+  out.field = raw.field;
+  out.body = raw.body;
+  out.value = raw.value;
+  out.attrs = raw.attrs;
+  return true;
 }
+
+namespace {
+
+/// The leading `sizeof(std::uint64_t)` bytes of `text` from `offset`,
+/// big-endian and zero-padded, so integer order is byte-string order.
+std::uint64_t pack(const std::string& text, std::size_t offset) {
+  std::uint64_t word = 0;
+  for (std::size_t i = offset; i < offset + sizeof(word); ++i) {
+    word = (word << 8) |
+           (i < text.size() ? static_cast<unsigned char>(text[i]) : 0u);
+  }
+  return word;
+}
+
+/// A record's place in the normalize order: the leading sort fields, with
+/// the router name's first 16 bytes packed into integers.
+struct SortKey {
+  util::TimeSec utc;
+  std::uint32_t source;
+  std::uint32_t index;  // into the unsorted records
+  std::uint64_t router_hi;
+  std::uint64_t router_lo;
+};
+
+}  // namespace
 
 std::vector<NormalizedRecord> Normalizer::normalize_stream(
     const telemetry::RecordStream& stream) const {
   std::vector<NormalizedRecord> out;
   out.reserve(stream.size());
-  NormalizedRecord record;
   for (const RawRecord& raw : stream) {
-    if (normalize(raw, record)) out.push_back(std::move(record));
+    if (!normalize(raw, out.emplace_back())) out.pop_back();
   }
-  // Content-deterministic order: ties on the timestamp are broken by the
-  // record fields so extraction does not depend on arrival order.
-  std::sort(out.begin(), out.end(),
-            [](const NormalizedRecord& a, const NormalizedRecord& b) {
-              return std::tie(a.utc, a.source, a.router, a.device, a.interface,
-                              a.field, a.body, a.value) <
-                     std::tie(b.utc, b.source, b.router, b.device, b.interface,
-                              b.field, b.body, b.value);
-            });
+  // Content-deterministic total order, so extraction does not depend on
+  // arrival order: utc, source, then every remaining field, attrs last.
+  // The compact keys settle almost every comparison; only ties on them
+  // compare the records' full fields.
+  std::vector<SortKey> keys(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const NormalizedRecord& r = out[i];
+    keys[i] = SortKey{r.utc, static_cast<std::uint32_t>(r.source),
+                      static_cast<std::uint32_t>(i), pack(r.router, 0),
+                      pack(r.router, sizeof(std::uint64_t))};
+  }
+  std::sort(keys.begin(), keys.end(), [&out](const SortKey& a,
+                                             const SortKey& b) {
+    if (auto c = std::tie(a.utc, a.source, a.router_hi, a.router_lo) <=>
+                 std::tie(b.utc, b.source, b.router_hi, b.router_lo);
+        c != 0) {
+      return c < 0;
+    }
+    const NormalizedRecord& x = out[a.index];
+    const NormalizedRecord& y = out[b.index];
+    return std::tie(x.router, x.device, x.interface, x.field, x.body, x.value,
+                    x.attrs, a.index) < std::tie(y.router, y.device,
+                                                 y.interface, y.field, y.body,
+                                                 y.value, y.attrs, b.index);
+  });
+  // Apply the permutation in place, one cycle at a time: position i takes
+  // the record at keys[i].index. A visited position points at itself.
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i].index == i) continue;
+    NormalizedRecord held = std::move(out[i]);
+    std::size_t at = i;
+    for (std::size_t from = keys[at].index; from != i;
+         from = keys[at].index) {
+      out[at] = std::move(out[from]);
+      keys[at].index = static_cast<std::uint32_t>(at);
+      at = from;
+    }
+    out[at] = std::move(held);
+    keys[at].index = static_cast<std::uint32_t>(at);
+  }
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include "collector/normalized.h"
 #include "obs/feed_health.h"
 #include "topology/network.h"
+#include "util/strings.h"
 
 namespace grca::collector {
 
@@ -43,9 +44,14 @@ class Normalizer {
  private:
   bool normalize_impl(const telemetry::RawRecord& raw,
                       NormalizedRecord& out) const;
+  /// Counts an unknown-device record; always false.
+  bool reject() const {
+    ++dropped_;
+    return false;
+  }
 
   const topology::Network& net_;
-  std::unordered_map<std::string, topology::Layer1DeviceId> l1_by_name_;
+  util::StringMap<topology::Layer1DeviceId> l1_by_name_;
   obs::FeedHealthMonitor* feed_health_ = nullptr;
   mutable std::size_t dropped_ = 0;
   /// Highest UTC seen so far: the arrival-time proxy for feed lag (records

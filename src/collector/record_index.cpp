@@ -9,10 +9,14 @@ namespace grca::collector {
 
 RecordIndex::RecordIndex(std::vector<NormalizedRecord> records)
     : records_(std::move(records)) {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const NormalizedRecord& a, const NormalizedRecord& b) {
-                     return a.utc < b.utc;
-                   });
+  auto by_utc = [](const NormalizedRecord& a, const NormalizedRecord& b) {
+    return a.utc < b.utc;
+  };
+  // Normalizer::normalize_stream output is already in utc order; moving
+  // every record through a merge sort again would cost a third of ingest.
+  if (!std::is_sorted(records_.begin(), records_.end(), by_utc)) {
+    std::stable_sort(records_.begin(), records_.end(), by_utc);
+  }
   for (std::size_t i = 0; i < records_.size(); ++i) {
     if (!records_[i].router.empty()) {
       by_router_[records_[i].router].push_back(i);

@@ -18,7 +18,8 @@ namespace grca::collector {
 
 class RecordIndex {
  public:
-  /// Takes ownership of records (any order).
+  /// Takes ownership of records (any order; records with equal utc keep
+  /// their relative order). Input already in utc order is not re-sorted.
   explicit RecordIndex(std::vector<NormalizedRecord> records);
 
   /// Records on `router` within [from, to], time-ordered.

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/span.h"
 #include "telemetry/records_io.h"
 #include "topology/config.h"
 #include "util/strings.h"
@@ -61,29 +62,31 @@ ReplayCorpus read_corpus(const fs::path& dir) {
   if (!fs::is_directory(dir / "configs")) {
     throw ConfigError("replay corpus " + dir.string() + ": missing configs/");
   }
-  // Directory iteration order is filesystem-dependent; sort the paths so a
-  // corpus loads identically everywhere.
-  std::vector<fs::path> config_paths;
-  for (const auto& entry : fs::directory_iterator(dir / "configs")) {
-    config_paths.push_back(entry.path());
-  }
-  std::sort(config_paths.begin(), config_paths.end());
   std::vector<std::string> configs;
-  configs.reserve(config_paths.size());
-  for (const fs::path& path : config_paths) {
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    configs.push_back(ss.str());
+  std::stringstream inventory;
+  {
+    obs::ScopedSpan span("read-configs");
+    // Directory iteration order is filesystem-dependent; sort the paths so
+    // a corpus loads identically everywhere.
+    std::vector<fs::path> config_paths;
+    for (const auto& entry : fs::directory_iterator(dir / "configs")) {
+      config_paths.push_back(entry.path());
+    }
+    std::sort(config_paths.begin(), config_paths.end());
+    configs.reserve(config_paths.size());
+    for (const fs::path& path : config_paths) {
+      std::ifstream in(path);
+      std::stringstream ss;
+      ss << in.rdbuf();
+      configs.push_back(ss.str());
+    }
+    std::ifstream inv(dir / "inventory.txt");
+    if (!inv) {
+      throw ConfigError("replay corpus " + dir.string() +
+                        ": missing inventory.txt");
+    }
+    inventory << inv.rdbuf();
   }
-
-  std::ifstream inv(dir / "inventory.txt");
-  if (!inv) {
-    throw ConfigError("replay corpus " + dir.string() +
-                      ": missing inventory.txt");
-  }
-  std::stringstream ss;
-  ss << inv.rdbuf();
 
   std::ifstream rec(dir / "records.tsv");
   if (!rec) {
@@ -91,9 +94,25 @@ ReplayCorpus read_corpus(const fs::path& dir) {
                       ": missing records.tsv");
   }
 
-  return ReplayCorpus{
-      topology::build_network_from_configs(configs, ss.str()),
-      telemetry::read_stream(rec), read_truth(dir)};
+  ReplayCorpus corpus;
+  {
+    obs::ScopedSpan span("build-network");
+    corpus.network =
+        topology::build_network_from_configs(configs, inventory.str());
+  }
+  {
+    obs::ScopedSpan span("read-records");
+    try {
+      corpus.records = telemetry::read_stream(rec);
+    } catch (const ParseError& e) {
+      throw ParseError((dir / "records.tsv").string() + ": " + e.what());
+    }
+  }
+  {
+    obs::ScopedSpan span("read-truth");
+    corpus.truth = read_truth(dir);
+  }
+  return corpus;
 }
 
 }  // namespace grca::sim

@@ -3,12 +3,15 @@
 
 #include "telemetry/records_io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace grca::telemetry {
 
@@ -28,7 +31,11 @@ std::string escape(const std::string& text) {
   return out;
 }
 
-std::string unescape(const std::string& text) {
+/// `text` with the escapes written by escape() undone.
+std::string unescaped(std::string_view text) {
+  // Built at its exact size: assigning into a short string would round a
+  // 16-29 byte text up to 30 bytes of capacity.
+  if (text.find('\\') == std::string_view::npos) return std::string(text);
   std::string out;
   out.reserve(text.size());
   for (std::size_t i = 0; i < text.size(); ++i) {
@@ -44,6 +51,62 @@ std::string unescape(const std::string& text) {
     }
   }
   return out;
+}
+
+/// Parses a whole numeric field; trailing characters are an error.
+template <typename T>
+T parse_number(std::string_view field, const char* name) {
+  T value{};
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (ec != std::errc{} || ptr != end) {
+    throw ParseError("telemetry TSV: bad " + std::string(name) + " '" +
+                     std::string(field) + "'");
+  }
+  return value;
+}
+
+/// Parses one record line (without its newline) into `r`, which must be
+/// default-constructed.
+void parse_line(std::string_view line, RawRecord& r) {
+  std::string_view fields[8];
+  std::size_t begin = 0;
+  for (int i = 0; i < 7; ++i) {
+    std::size_t tab = line.find('\t', begin);
+    if (tab == std::string_view::npos) {
+      throw ParseError("telemetry TSV: expected 8 fields, got " +
+                       std::to_string(i + 1));
+    }
+    fields[i] = line.substr(begin, tab - begin);
+    begin = tab + 1;
+  }
+  fields[7] = line.substr(begin);
+  if (auto extra = std::count(fields[7].begin(), fields[7].end(), '\t')) {
+    throw ParseError("telemetry TSV: expected 8 fields, got " +
+                     std::to_string(8 + extra));
+  }
+  r.source = parse_source(fields[0]);
+  r.timestamp = parse_number<util::TimeSec>(fields[1], "timestamp");
+  r.device = unescaped(fields[2]);
+  r.field = unescaped(fields[3]);
+  r.body = unescaped(fields[4]);
+  r.value = parse_number<double>(fields[5], "value");
+  r.true_utc = parse_number<util::TimeSec>(fields[6], "true_utc");
+  if (fields[7].empty()) return;
+  // to_tsv writes attrs in key order, so each one goes in at the end; a
+  // repeated key still resolves last-wins.
+  for (std::string_view rest = fields[7];;) {
+    std::size_t semi = rest.find(';');
+    std::string_view pair = rest.substr(0, semi);
+    std::size_t eq = pair.find('=');
+    if (eq == std::string_view::npos) {
+      throw ParseError("telemetry TSV: bad attr '" + std::string(pair) + "'");
+    }
+    auto it = r.attrs.try_emplace(r.attrs.end(), unescaped(pair.substr(0, eq)));
+    it->second = unescaped(pair.substr(eq + 1));
+    if (semi == std::string_view::npos) return;
+    rest.remove_prefix(semi + 1);
+  }
 }
 
 }  // namespace
@@ -75,28 +138,8 @@ std::string to_tsv(const RawRecord& r) {
 }
 
 RawRecord from_tsv(const std::string& line) {
-  auto fields = util::split(line, '\t');
-  if (fields.size() != 8) {
-    throw ParseError("telemetry TSV: expected 8 fields, got " +
-                     std::to_string(fields.size()));
-  }
   RawRecord r;
-  r.source = parse_source(fields[0]);
-  r.timestamp = std::stoll(fields[1]);
-  r.device = unescape(fields[2]);
-  r.field = unescape(fields[3]);
-  r.body = unescape(fields[4]);
-  r.value = std::stod(fields[5]);
-  r.true_utc = std::stoll(fields[6]);
-  if (!fields[7].empty()) {
-    for (const std::string& pair : util::split(fields[7], ';')) {
-      auto eq = pair.find('=');
-      if (eq == std::string::npos) {
-        throw ParseError("telemetry TSV: bad attr '" + pair + "'");
-      }
-      r.attrs[unescape(pair.substr(0, eq))] = unescape(pair.substr(eq + 1));
-    }
-  }
+  parse_line(line, r);
   return r;
 }
 
@@ -108,11 +151,38 @@ void write_stream(std::ostream& out, const RecordStream& stream) {
 
 RecordStream read_stream(std::istream& in) {
   RecordStream stream;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    stream.push_back(from_tsv(line));
+  std::size_t line_no = 0;
+  auto consume = [&](std::string_view line) {
+    ++line_no;
+    if (line.empty() || line[0] == '#') return;
+    RawRecord& r = stream.emplace_back();
+    try {
+      parse_line(line, r);
+    } catch (const ParseError& e) {
+      throw ParseError("line " + std::to_string(line_no) + ": " + e.what());
+    }
+  };
+  // Fixed-size blocks; a line cut by the block end moves to the front of
+  // the buffer and is completed by the next read. A line longer than the
+  // buffer grows it.
+  std::vector<char> buf(kReadBlockBytes);
+  std::size_t have = 0;
+  while (true) {
+    if (have == buf.size()) buf.resize(buf.size() * 2);
+    in.read(buf.data() + have,
+            static_cast<std::streamsize>(buf.size() - have));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (got == 0) break;
+    std::string_view text(buf.data(), have + got);
+    std::size_t begin = 0;
+    for (std::size_t nl; (nl = text.find('\n', begin)) != text.npos;
+         begin = nl + 1) {
+      consume(text.substr(begin, nl - begin));
+    }
+    have = text.size() - begin;
+    std::memmove(buf.data(), buf.data() + begin, have);
   }
+  if (have > 0) consume(std::string_view(buf.data(), have));
   return stream;
 }
 

@@ -6,6 +6,7 @@
 // grca CLI to decouple telemetry generation from analysis runs.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 
@@ -18,13 +19,22 @@ namespace grca::telemetry {
 std::string to_tsv(const RawRecord& record);
 
 /// Parses a line written by to_tsv. Throws grca::ParseError on malformed
-/// input.
+/// input: a wrong field count, an unknown source, a numeric field that is
+/// empty or not wholly a number, or an attr without '='. A repeated attr
+/// key resolves last-wins.
 RawRecord from_tsv(const std::string& line);
 
 /// Writes a stream with a header comment.
 void write_stream(std::ostream& out, const RecordStream& stream);
 
-/// Reads a stream (skips comment lines starting with '#').
+/// Bytes read_stream asks of its input per read (more while one line is
+/// longer than that).
+inline constexpr std::size_t kReadBlockBytes = 64 * 1024;
+
+/// Reads a stream (skips empty lines and comment lines starting with '#')
+/// in blocks of kReadBlockBytes, so the input is never held whole. The
+/// last line needs no newline. A malformed line throws grca::ParseError
+/// naming its 1-based line number and the reason.
 RecordStream read_stream(std::istream& in);
 
 std::string_view source_name(SourceType type) noexcept;

@@ -248,7 +248,7 @@ void Network::set_mvpn(CustomerSiteId site, std::string vpn) {
 }
 
 std::optional<RouterId> Network::find_router(std::string_view name) const {
-  auto it = router_by_name_.find(std::string(name));
+  auto it = router_by_name_.find(name);
   if (it == router_by_name_.end()) return std::nullopt;
   return it->second;
 }
@@ -261,7 +261,7 @@ std::optional<RouterId> Network::find_router_by_loopback(
 }
 
 std::optional<PopId> Network::find_pop(std::string_view name) const {
-  auto it = pop_by_name_.find(std::string(name));
+  auto it = pop_by_name_.find(name);
   if (it == pop_by_name_.end()) return std::nullopt;
   return it->second;
 }
@@ -283,7 +283,7 @@ std::optional<InterfaceId> Network::find_interface_by_address(
 
 std::optional<PhysicalLinkId> Network::find_circuit(
     std::string_view circuit_id) const {
-  auto it = circuit_by_id_.find(std::string(circuit_id));
+  auto it = circuit_by_id_.find(circuit_id);
   if (it == circuit_by_id_.end()) return std::nullopt;
   return it->second;
 }
@@ -306,7 +306,7 @@ std::optional<CustomerSiteId> Network::find_customer_by_neighbor(
 }
 
 std::optional<CdnNodeId> Network::find_cdn_node(std::string_view name) const {
-  auto it = cdn_by_name_.find(std::string(name));
+  auto it = cdn_by_name_.find(name);
   if (it == cdn_by_name_.end()) return std::nullopt;
   return it->second;
 }

@@ -16,6 +16,7 @@
 
 #include "topology/elements.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace grca::topology {
 
@@ -158,13 +159,13 @@ class Network {
   std::vector<CustomerSite> customers_;
   std::vector<CdnNode> cdn_nodes_;
 
-  std::unordered_map<std::string, RouterId> router_by_name_;
+  util::StringMap<RouterId> router_by_name_;
   std::unordered_map<util::Ipv4Addr, RouterId> router_by_loopback_;
-  std::unordered_map<std::string, PopId> pop_by_name_;
+  util::StringMap<PopId> pop_by_name_;
   std::unordered_map<util::Ipv4Addr, InterfaceId> interface_by_addr_;
-  std::unordered_map<std::string, PhysicalLinkId> circuit_by_id_;
+  util::StringMap<PhysicalLinkId> circuit_by_id_;
   std::unordered_map<util::Ipv4Addr, CustomerSiteId> customer_by_neighbor_;
-  std::unordered_map<std::string, CdnNodeId> cdn_by_name_;
+  util::StringMap<CdnNodeId> cdn_by_name_;
 };
 
 }  // namespace grca::topology

@@ -5,11 +5,27 @@
 // parsers, the rule DSL, and the data normalizer.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace grca::util {
+
+/// Transparent string hash: lets a StringMap be searched with a
+/// std::string_view or a C string without building a std::string.
+struct StringHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view text) const noexcept {
+    return std::hash<std::string_view>{}(text);
+  }
+};
+
+/// A std::string-keyed hash map with heterogeneous lookup.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// Splits on a single character; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char sep);

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+
 #include "collector/extract.h"
 #include "collector/normalizer.h"
 #include "collector/record_index.h"
@@ -100,6 +104,130 @@ TEST(Normalizer, StreamSortedByUtc) {
   auto records = norm.normalize_stream(stream);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_LE(records[0].utc, records[1].utc);
+}
+
+/// Two bgpmon withdraws in the same second via the same egress, differing
+/// only in the prefix attr, plus ties on every other leading field.
+telemetry::RecordStream tied_stream(const t::Network& net) {
+  telemetry::RecordStream stream;
+  auto bgp = [&](util::TimeSec at, const std::string& prefix) {
+    RawRecord r;
+    r.source = SourceType::kBgpMon;
+    r.timestamp = at;
+    r.body = "withdraw";
+    r.attrs = {{"egress", "kcy-per18"}, {"prefix", prefix}};
+    stream.push_back(r);
+  };
+  bgp(1263699842, "96.12.65.0/24");
+  bgp(1263699842, "96.12.70.0/24");
+  bgp(1263699842, "96.12.7.0/24");
+  bgp(1263699900, "96.12.65.0/24");
+  RawRecord tacacs;
+  tacacs.source = SourceType::kTacacs;
+  tacacs.timestamp = 1263699842;
+  tacacs.device = net.routers()[0].name;
+  tacacs.body = "show version";
+  for (const char* user : {"alice", "bob", "carol"}) {
+    tacacs.attrs = {{"user", user}};
+    stream.push_back(tacacs);
+  }
+  return stream;
+}
+
+TEST(Normalizer, OrderDependsOnlyOnContent) {
+  t::Network net = small_net();
+  telemetry::RecordStream stream = tied_stream(net);
+  std::vector<std::string> reference;
+  for (const NormalizedRecord& r : Normalizer(net).normalize_stream(stream)) {
+    reference.push_back(render(r));
+  }
+  ASSERT_EQ(reference.size(), stream.size());
+  for (std::uint32_t seed = 1; seed <= 20; ++seed) {
+    telemetry::RecordStream shuffled = stream;
+    std::mt19937 rng(seed);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    std::vector<std::string> lines;
+    for (const NormalizedRecord& r :
+         Normalizer(net).normalize_stream(shuffled)) {
+      lines.push_back(render(r));
+    }
+    EXPECT_EQ(lines, reference) << "shuffle seed " << seed;
+  }
+}
+
+TEST(Normalizer, StreamOrderIsFullFieldOrder) {
+  // Router names that agree in more than their first 16 bytes, so the
+  // compact sort keys tie and the full fields decide.
+  t::Network net;
+  t::PopId pop = net.add_pop("nyc", util::TimeZone::utc());
+  std::vector<std::string> names = {"nyc-provider-edge-router-2",
+                                    "nyc-provider-edge-router-10",
+                                    "nyc-provider-edge-router-1", "nyc-per"};
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    net.add_router(names[i], pop, t::RouterRole::kProviderEdge,
+                   util::Ipv4Addr(0x0a000001u + static_cast<std::uint32_t>(i)));
+  }
+  std::mt19937 rng(7);
+  telemetry::RecordStream stream;
+  for (int i = 0; i < 400; ++i) {
+    RawRecord r;
+    r.source = rng() % 2 ? SourceType::kTacacs : SourceType::kWorkflowLog;
+    r.timestamp = 1000 + static_cast<util::TimeSec>(rng() % 4);
+    r.device = names[rng() % names.size()];
+    r.field = rng() % 2 ? "maintenance" : "";
+    r.body = "cmd " + std::to_string(rng() % 3);
+    r.value = static_cast<double>(rng() % 2);
+    r.attrs = {{"user", std::to_string(rng() % 3)}};
+    stream.push_back(r);
+  }
+  std::vector<NormalizedRecord> out = Normalizer(net).normalize_stream(stream);
+  ASSERT_EQ(out.size(), stream.size());
+  auto full = [](const NormalizedRecord& r) {
+    return std::tie(r.utc, r.source, r.router, r.device, r.interface, r.field,
+                    r.body, r.value, r.attrs);
+  };
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end(),
+                             [&](const NormalizedRecord& a,
+                                 const NormalizedRecord& b) {
+                               return full(a) < full(b);
+                             }));
+  // A permutation of the input: every raw record comes out once.
+  std::vector<std::string> in_lines, out_lines;
+  for (const RawRecord& r : stream) {
+    in_lines.push_back(r.device + "|" + r.field + "|" + r.body + "|" +
+                       r.attrs.at("user") + "|" +
+                       std::to_string(r.timestamp) + "|" +
+                       std::to_string(r.value));
+  }
+  for (const NormalizedRecord& r : out) {
+    out_lines.push_back(r.router + "|" + r.field + "|" + r.body + "|" +
+                        r.attrs.at("user") + "|" + std::to_string(r.utc) +
+                        "|" + std::to_string(r.value));
+  }
+  std::sort(in_lines.begin(), in_lines.end());
+  std::sort(out_lines.begin(), out_lines.end());
+  EXPECT_EQ(out_lines, in_lines);
+}
+
+TEST(Normalizer, ReusedOutputRecordIsOverwritten) {
+  t::Network net = small_net();
+  sim::TelemetryEmitter emitter(net);
+  emitter.snmp_interface(net.links()[0].side_a, 1200, "ifutil", 91.5);
+  const t::Layer1Device& dev = net.layer1_devices()[0];
+  emitter.layer1(dev.id, 1300, "APS: protection switch executed");
+  auto stream = emitter.take();
+  ASSERT_EQ(stream.size(), 2u);
+  Normalizer norm(net);
+  NormalizedRecord out;
+  ASSERT_TRUE(norm.normalize(stream[0], out));
+  EXPECT_FALSE(out.interface.empty());
+  ASSERT_TRUE(norm.normalize(stream[1], out));
+  EXPECT_EQ(out.device, dev.name);
+  EXPECT_TRUE(out.router.empty());
+  EXPECT_TRUE(out.interface.empty());
+  EXPECT_TRUE(out.field.empty());
+  EXPECT_TRUE(out.attrs.empty());
+  EXPECT_EQ(out.value, stream[1].value);
 }
 
 // ---- RecordIndex ------------------------------------------------------------

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+
 #include "apps/bgp_flap_app.h"
 #include "apps/cdn_app.h"
 #include "apps/innet_app.h"
@@ -164,6 +168,63 @@ TEST(Integration, DiagnosisLatencyIsInteractive) {
   double total = 0;
   for (const auto& d : diagnoses) total += d.elapsed_ms;
   EXPECT_LT(total / diagnoses.size(), 5000.0);
+}
+
+TEST(Integration, PipelineIgnoresArrivalOrder) {
+  // The collector's output depends only on record content: a pipeline fed
+  // a shuffled archive indexes the same records in the same order and
+  // reaches the same diagnoses. (Feed-health lag is measured against
+  // arrival order, so it legitimately differs and is not compared.)
+  World world(small_params());
+  sim::BgpStudyParams params;
+  params.days = 3;
+  params.target_symptoms = 100;
+  params.noise = 0.5;
+  sim::StudyOutput study = sim::run_bgp_study(world.sim_net, params);
+  Pipeline original(world.rca_net, study.records);
+  std::vector<core::Diagnosis> expected =
+      original.diagnose_all(apps::bgp::build_graph(), 1);
+  ASSERT_FALSE(expected.empty());
+
+  auto fields = [](const collector::NormalizedRecord& r) {
+    return std::tie(r.utc, r.source, r.router, r.device, r.interface, r.field,
+                    r.body, r.value, r.attrs);
+  };
+  for (std::uint32_t seed : {1u, 2u}) {
+    telemetry::RecordStream shuffled = study.records;
+    std::mt19937 rng(seed);
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    Pipeline pipeline(world.rca_net, shuffled);
+
+    auto want = original.index().all();
+    auto got = pipeline.index().all();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(fields(got[i]) == fields(want[i]))
+          << "seed " << seed << " record " << i << ": "
+          << collector::render(got[i]) << " vs "
+          << collector::render(want[i]);
+    }
+
+    std::vector<core::Diagnosis> diagnoses =
+        pipeline.diagnose_all(apps::bgp::build_graph(), 1);
+    ASSERT_EQ(diagnoses.size(), expected.size());
+    for (std::size_t i = 0; i < diagnoses.size(); ++i) {
+      const core::Diagnosis& d = diagnoses[i];
+      const core::Diagnosis& e = expected[i];
+      EXPECT_EQ(d.symptom, e.symptom) << "seed " << seed << " diagnosis " << i;
+      EXPECT_EQ(d.primary(), e.primary());
+      ASSERT_EQ(d.evidence.size(), e.evidence.size());
+      for (std::size_t n = 0; n < d.evidence.size(); ++n) {
+        EXPECT_EQ(d.evidence[n].event, e.evidence[n].event);
+        ASSERT_EQ(d.evidence[n].instances.size(),
+                  e.evidence[n].instances.size());
+        for (std::size_t k = 0; k < d.evidence[n].instances.size(); ++k) {
+          EXPECT_EQ(*d.evidence[n].instances[k], *e.evidence[n].instances[k]);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

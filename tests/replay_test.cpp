@@ -10,10 +10,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 
 #include "apps/bgp_flap_app.h"
 #include "apps/replay.h"
 #include "apps/streaming.h"
+#include "obs/span.h"
 #include "simulation/archive.h"
 #include "simulation/workloads.h"
 #include "topology/config.h"
@@ -290,6 +293,61 @@ TEST(Replay, MissingCorpusPiecesAreReported) {
   std::filesystem::create_directories(dir / "configs");
   EXPECT_THROW(sim::read_corpus(dir), ConfigError);  // no inventory.txt
   std::filesystem::remove_all(dir);
+}
+
+TEST(ReplayCorpus, MalformedRecordNamesFileAndLine) {
+  const ReplayFixture& f = fixture();
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "grca_replay_malformed_test";
+  std::filesystem::remove_all(dir);
+  telemetry::RecordStream records(f.study.records.begin(),
+                                  f.study.records.begin() + 3);
+  sim::write_corpus(dir, f.sim_net, records, {});
+  // Line 1 is the header; break the timestamp of the third record (line 4).
+  std::string text;
+  {
+    std::ifstream in(dir / "records.tsv");
+    std::stringstream ss;
+    ss << in.rdbuf();
+    text = ss.str();
+  }
+  std::size_t line4 = 0;
+  for (int i = 0; i < 3; ++i) line4 = text.find('\n', line4) + 1;
+  text.insert(text.find('\t', line4) + 1, "x");
+  std::ofstream(dir / "records.tsv") << text;
+  try {
+    sim::read_corpus(dir);
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("records.tsv: line 4: "), std::string::npos) << what;
+    EXPECT_NE(what.find("timestamp"), std::string::npos) << what;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplayCorpus, ReadSpansCoverIngestHead) {
+  const ReplayFixture& f = fixture();
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "grca_replay_spans_test";
+  std::filesystem::remove_all(dir);
+  sim::write_corpus(dir, f.sim_net, f.study.records, f.study.truth);
+  std::filesystem::path log = dir / "spans.jsonl";
+  ASSERT_TRUE(obs::set_span_log(log.string()));
+  sim::read_corpus(dir);
+  obs::set_span_log("");
+  std::ifstream in(log);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string spans = ss.str();
+  std::filesystem::remove_all(dir);
+  for (const char* name :
+       {"read-configs", "build-network", "read-records", "read-truth"}) {
+    EXPECT_NE(spans.find("\"span\":\"" + std::string(name) + "\""),
+              std::string::npos)
+        << name << " missing from:\n"
+        << spans;
+  }
 }
 
 }  // namespace

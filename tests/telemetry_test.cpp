@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "simulation/emitter.h"
 #include "telemetry/records_io.h"
@@ -139,6 +143,138 @@ TEST(RecordsIo, RejectsMalformedLines) {
   EXPECT_THROW(
       from_tsv("syslog\t1\td\tf\tb\t0\t1\tbadattr-without-equals"),
       ParseError);
+}
+
+// ---- parser contract -------------------------------------------------------
+
+/// A well-formed line with the given timestamp, value and true_utc fields.
+std::string line_with(const std::string& timestamp, const std::string& value,
+                      const std::string& true_utc) {
+  return "snmp\t" + timestamp + "\tnyc-per1.net.example\tcpu5min\t\t" +
+         value + "\t" + true_utc + "\tinterface=so-0/0/0";
+}
+
+void expect_same(const RawRecord& a, const RawRecord& b) {
+  EXPECT_EQ(a.source, b.source);
+  EXPECT_EQ(a.timestamp, b.timestamp);
+  EXPECT_EQ(a.device, b.device);
+  EXPECT_EQ(a.field, b.field);
+  EXPECT_EQ(a.body, b.body);
+  EXPECT_EQ(a.value, b.value);
+  EXPECT_EQ(a.true_utc, b.true_utc);
+  EXPECT_EQ(a.attrs, b.attrs);
+}
+
+TEST(RecordsIo, TrailingGarbageInNumericFieldRejected) {
+  EXPECT_NO_THROW(from_tsv(line_with("1262304300", "5", "1262304300")));
+  EXPECT_THROW(from_tsv(line_with("1262304300x", "5", "1262304300")),
+               ParseError);
+  EXPECT_THROW(from_tsv(line_with("1262304300", "5.5kb", "1262304300")),
+               ParseError);
+  EXPECT_THROW(from_tsv(line_with("1262304300", "5", "1262304300 ")),
+               ParseError);
+}
+
+TEST(RecordsIo, EmptyNumericFieldIsParseError) {
+  EXPECT_THROW(from_tsv(line_with("", "5", "1262304300")), ParseError);
+  EXPECT_THROW(from_tsv(line_with("1262304300", "", "1262304300")),
+               ParseError);
+  EXPECT_THROW(from_tsv(line_with("1262304300", "5", "")), ParseError);
+}
+
+TEST(RecordsIo, RepeatedAttrKeyLastWins) {
+  RawRecord r = from_tsv("bgpmon\t1\t\t\twithdraw\t0\t1\t"
+                         "prefix=96.12.65.0/24;egress=kcy-per18;"
+                         "prefix=96.12.70.0/24");
+  ASSERT_EQ(r.attrs.size(), 2u);
+  EXPECT_EQ(r.attrs.at("prefix"), "96.12.70.0/24");
+  EXPECT_EQ(r.attrs.at("egress"), "kcy-per18");
+}
+
+TEST(RecordsIo, EscapesRoundTrip) {
+  RawRecord r = sample_record();
+  r.device = "dev\\with\tall\nthree";
+  r.field = "\\t is not a tab";
+  r.body = "trailing backslash \\";
+  r.attrs = {{"k\tey", "v\\al\nue"}, {"plain", "x"}};
+  std::string line = to_tsv(r);
+  EXPECT_EQ(std::count(line.begin(), line.end(), '\t'), 7);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  expect_same(from_tsv(line), r);
+}
+
+TEST(RecordsIo, SpecialValuesParse) {
+  EXPECT_TRUE(std::isinf(from_tsv(line_with("1", "inf", "1")).value));
+  EXPECT_EQ(from_tsv(line_with("1", "-inf", "1")).value,
+            -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(from_tsv(line_with("1", "nan", "1")).value));
+  EXPECT_EQ(from_tsv(line_with("1", "1e+06", "1")).value, 1e6);
+  EXPECT_EQ(from_tsv(line_with("1", "-0.25", "1")).value, -0.25);
+  // to_tsv prints a million as 1e+06, and it reads back.
+  RawRecord r = sample_record();
+  r.value = 1e6;
+  EXPECT_NE(to_tsv(r).find("\t1e+06\t"), std::string::npos);
+  EXPECT_EQ(from_tsv(to_tsv(r)).value, 1e6);
+}
+
+TEST(RecordsIo, ReadStreamAcrossBlocksMatchesLineByLine) {
+  // Lines of varied length, so many straddle a block boundary; one line
+  // ends exactly on the first boundary, one is longer than a block, there
+  // are comment lines, and the text has no trailing newline.
+  std::string text = "# header\n";
+  auto add_record = [&](int i, std::size_t body_len) {
+    RawRecord r = sample_record();
+    r.timestamp += i;
+    r.true_utc += i;
+    r.value = i * 0.5;
+    r.body = std::string(body_len, static_cast<char>('a' + i % 26));
+    r.attrs = {{"i", std::to_string(i)}, {"prefix", "96.0.0.0/24"}};
+    text += to_tsv(r);
+    text += '\n';
+  };
+  int i = 0;
+  while (text.size() < kReadBlockBytes - 300) {
+    add_record(i, i * 37 % 200);
+    ++i;
+  }
+  text += '#';
+  text += std::string(kReadBlockBytes - text.size() - 1, '-');
+  text += '\n';
+  ASSERT_EQ(text.size(), kReadBlockBytes);
+  add_record(i++, kReadBlockBytes + 1000);
+  while (text.size() < 4 * kReadBlockBytes) {
+    add_record(i, i * 53 % 300);
+    if (++i % 50 == 0) text += "# comment\n";
+  }
+  text.pop_back();
+  ASSERT_NE(text.back(), '\n');
+
+  std::istringstream in(text);
+  RecordStream streamed = read_stream(in);
+  RecordStream expected;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line[0] != '#') expected.push_back(from_tsv(line));
+  }
+  ASSERT_EQ(streamed.size(), expected.size());
+  ASSERT_EQ(static_cast<int>(streamed.size()), i);
+  for (std::size_t k = 0; k < streamed.size(); ++k) {
+    expect_same(streamed[k], expected[k]);
+  }
+}
+
+TEST(RecordsIo, ReadStreamErrorNamesLine) {
+  std::istringstream in("# header\n" + line_with("1", "5", "1") + "\n" +
+                        line_with("1", "5x", "1") + "\n" +
+                        line_with("2", "5", "2") + "\n");
+  try {
+    read_stream(in);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    std::string what = e.what();
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("bad value '5x'"), std::string::npos) << what;
+  }
 }
 
 TEST(RecordsIo, SourceNamesRoundTrip) {
