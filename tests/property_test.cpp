@@ -39,10 +39,27 @@ struct AppCase {
   core::DiagnosisGraph (*build)();
 };
 
-class AppGraphProperty : public ::testing::TestWithParam<AppCase> {};
+const AppCase kApps[] = {{"bgp", apps::bgp::build_graph},
+                         {"cdn", apps::cdn::build_graph},
+                         {"pim", apps::pim::build_graph},
+                         {"innet", apps::innet::build_graph}};
+
+// Parameterized by application name rather than by AppCase: gtest prints an
+// AppCase as its raw bytes, pointers included, so test IDs built from it
+// would change with every load address.
+class AppGraphProperty : public ::testing::TestWithParam<const char*> {
+ protected:
+  core::DiagnosisGraph build() const {
+    for (const AppCase& app : kApps) {
+      if (std::string(app.name) == GetParam()) return app.build();
+    }
+    ADD_FAILURE() << "unknown application " << GetParam();
+    return {};
+  }
+};
 
 TEST_P(AppGraphProperty, DslRoundTripPreservesGraph) {
-  core::DiagnosisGraph graph = GetParam().build();
+  core::DiagnosisGraph graph = build();
   std::string text = core::render_dsl(graph);
   core::DiagnosisGraph back;
   core::load_dsl(text, back);
@@ -60,7 +77,7 @@ TEST_P(AppGraphProperty, DslRoundTripPreservesGraph) {
 TEST_P(AppGraphProperty, EveryRuleEndpointHasMatchingLocationTypes) {
   // A rule's events must have resolvable location types; the join level must
   // be reachable from both (structural sanity over all app configs).
-  core::DiagnosisGraph graph = GetParam().build();
+  core::DiagnosisGraph graph = build();
   for (const core::DiagnosisRule& rule : graph.rules()) {
     EXPECT_NO_THROW(graph.event(rule.symptom));
     EXPECT_NO_THROW(graph.event(rule.diagnostic));
@@ -71,19 +88,17 @@ TEST_P(AppGraphProperty, EveryRuleEndpointHasMatchingLocationTypes) {
 TEST_P(AppGraphProperty, RootIsNeverADiagnostic) {
   // The symptom event must not appear as a diagnostic of another rule
   // (would make the symptom explain something else — a config smell).
-  core::DiagnosisGraph graph = GetParam().build();
+  core::DiagnosisGraph graph = build();
   for (const core::DiagnosisRule& rule : graph.rules()) {
     EXPECT_NE(rule.diagnostic, graph.root());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Apps, AppGraphProperty,
-    ::testing::Values(AppCase{"bgp", apps::bgp::build_graph},
-                      AppCase{"cdn", apps::cdn::build_graph},
-                      AppCase{"pim", apps::pim::build_graph},
-                      AppCase{"innet", apps::innet::build_graph}),
-    [](const auto& info) { return std::string(info.param.name); });
+INSTANTIATE_TEST_SUITE_P(Apps, AppGraphProperty,
+                         ::testing::Values("bgp", "cdn", "pim", "innet"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 // ---- extraction is deterministic and idempotent -----------------------------
 
