@@ -172,7 +172,9 @@ std::string render_diagnoses(const std::vector<core::Diagnosis>& batch) {
 }
 
 /// Full diagnose_all over the standard scenario with --threads workers.
-/// Throughput (items/s) is symptoms diagnosed per second.
+/// Throughput (items/s) is symptoms diagnosed per wall-clock second: the
+/// work runs on pool threads, so the main thread's CPU time would overstate
+/// it.
 /// Shared across the diagnose_all benches so setup is paid once.
 ScaledStore& scaling_store() {
   static ScaledStore scaled(bench_net(), 200000);  // ~2000 symptoms
@@ -211,7 +213,9 @@ void BM_DiagnoseAllThreads(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(diagnosed));
   state.counters["threads"] = g_threads;
 }
-BENCHMARK(BM_DiagnoseAllThreads)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiagnoseAllThreads)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// Same scenario with the join cache disabled: the baseline the memoized
 /// path is measured against (compare items/s with BM_DiagnoseAllThreads).
@@ -232,7 +236,9 @@ void BM_DiagnoseAllUncached(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(diagnosed));
   state.counters["threads"] = g_threads;
 }
-BENCHMARK(BM_DiagnoseAllUncached)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiagnoseAllUncached)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SpatialProjection(benchmark::State& state) {
   const topology::Network& net = bench_net();

@@ -81,15 +81,6 @@ std::vector<core::Diagnosis> Pipeline::diagnose_all(core::DiagnosisGraph graph,
   return engine.diagnose_all(threads);
 }
 
-std::vector<core::Diagnosis> Pipeline::diagnose_selected(
-    core::DiagnosisGraph graph, std::span<const std::uint32_t> indices,
-    std::vector<core::Location> allowed_locations, unsigned threads) const {
-  obs::ScopedSpan span("diagnose");
-  core::RcaEngine engine(std::move(graph), events(), mapper_);
-  engine.set_location_filter(std::move(allowed_locations));
-  return engine.diagnose_indices(indices, threads);
-}
-
 std::vector<std::vector<core::Diagnosis>> Pipeline::diagnose_apps(
     std::vector<core::DiagnosisGraph> graphs, unsigned threads) const {
   std::vector<std::vector<core::Diagnosis>> out(graphs.size());

@@ -71,18 +71,6 @@ class Pipeline {
   std::vector<core::Diagnosis> diagnose_all(core::DiagnosisGraph graph,
                                             unsigned threads = 0) const;
 
-  /// Shard-worker fan-out: diagnoses only the root instances at `indices`
-  /// of the store's root span, optionally restricting spatial joins to
-  /// `allowed_locations` (empty = no filter; see
-  /// RcaEngine::set_location_filter). Result i corresponds to indices[i]
-  /// and is byte-identical to the same symptom's diagnosis in a full
-  /// diagnose_all, provided the filter admits every location the symptom's
-  /// evidence chains can reach (the partitioner's inclusion invariant).
-  std::vector<core::Diagnosis> diagnose_selected(
-      core::DiagnosisGraph graph, std::span<const std::uint32_t> indices,
-      std::vector<core::Location> allowed_locations = {},
-      unsigned threads = 0) const;
-
   /// Per-application fan-out: diagnoses several applications' graphs
   /// concurrently on one pool over the shared store. Results are returned
   /// in input order, each identical to a serial diagnose_all of that graph.

@@ -45,32 +45,6 @@ RcaEngine::RcaEngine(DiagnosisGraph graph, const EventStoreView& store,
   }
 }
 
-void RcaEngine::set_location_filter(std::vector<Location> allowed) {
-  location_mask_.clear();
-  allowed_locations_.clear();
-  if (allowed.empty()) return;
-  // Freeze the store's interning first so the id mask covers every stored
-  // instance's where_id; later-interned ids (JoinCache projections, lazy v1
-  // materialization) take the hash-set path.
-  store_.warm();
-  location_mask_.assign(store_.locations().size(), 0);
-  for (Location& loc : allowed) {
-    if (auto id = store_.locations().find(loc);
-        id && *id < location_mask_.size()) {
-      location_mask_[*id] = 1;
-    }
-    allowed_locations_.insert(std::move(loc));
-  }
-}
-
-bool RcaEngine::location_allowed(const EventInstance& candidate) const {
-  const LocId id = candidate.where_id;
-  if (id != kInvalidLocId && id < location_mask_.size()) {
-    return location_mask_[id] != 0;
-  }
-  return allowed_locations_.count(candidate.where) > 0;
-}
-
 void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
                      JoinScratch& scratch) const {
   // Conservative candidate window: an instance [a, b] can only join when it
@@ -93,7 +67,6 @@ void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
     for (const EventInstance* cand : scratch.candidates) {
       if (cand == &anchor) continue;  // an instance never explains itself
       if (!rule.temporal.joined(anchor.when, cand->when)) continue;
-      if (!allowed_locations_.empty() && !location_allowed(*cand)) continue;
       const LocId cand_id = join_cache_->id_of(*cand);
       auto [it, fresh] = scratch.verdicts.try_emplace(cand_id, false);
       if (fresh) {
@@ -107,7 +80,6 @@ void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
   for (const EventInstance* cand : scratch.candidates) {
     if (cand == &anchor) continue;  // an instance never explains itself
     if (!rule.temporal.joined(anchor.when, cand->when)) continue;
-    if (!allowed_locations_.empty() && !location_allowed(*cand)) continue;
     if (!mapper_.joins(anchor.where, cand->where, rule.join_level,
                        anchor.when.start)) {
       continue;
@@ -225,34 +197,6 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
     diagnosis_seconds_->observe(result.elapsed_ms / 1000.0);
   }
   return result;
-}
-
-std::vector<Diagnosis> RcaEngine::diagnose_indices(
-    std::span<const std::uint32_t> indices, unsigned threads) const {
-  std::span<const EventInstance> symptoms = store_.all(graph_.root());
-  for (std::uint32_t index : indices) {
-    if (index >= symptoms.size()) {
-      throw ConfigError("diagnose_indices: symptom index " +
-                        std::to_string(index) + " out of range (store has " +
-                        std::to_string(symptoms.size()) + " '" +
-                        graph_.root() + "' instances)");
-    }
-  }
-  std::vector<Diagnosis> out(indices.size());
-  if (threads == 0) threads = util::ThreadPool::default_threads();
-  if (threads <= 1 || indices.size() < 2) {
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-      out[i] = diagnose(symptoms[indices[i]]);
-    }
-    return out;
-  }
-  store_.warm();
-  util::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(threads, indices.size())));
-  pool.parallel_for(0, indices.size(), [&](std::size_t i) {
-    out[i] = diagnose(symptoms[indices[i]]);
-  });
-  return out;
 }
 
 std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) const {

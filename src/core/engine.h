@@ -9,9 +9,7 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -83,26 +81,6 @@ class RcaEngine {
   /// every thread count.
   std::vector<Diagnosis> diagnose_all(unsigned threads = 1) const;
 
-  /// Diagnoses the root-symptom instances at the given indices of the
-  /// store's root span, in the given order (result i <-> indices[i]).
-  /// Same fan-out and identity contract as diagnose_all; this is the shard
-  /// worker's entry point (indices are the coordinator-assigned global
-  /// sequence numbers). Throws ConfigError on an out-of-range index.
-  std::vector<Diagnosis> diagnose_indices(
-      std::span<const std::uint32_t> indices, unsigned threads = 1) const;
-
-  /// Restricts spatial-join candidates to the given locations: a candidate
-  /// whose event location is not in the set is skipped before any join
-  /// evaluation, exactly as if its events were absent from the store. A
-  /// shard worker running against the full store sets its partition's
-  /// allowed set here (slice workers need no filter — their store *is* the
-  /// filter). An empty vector clears the filter. Not thread-safe against
-  /// concurrent diagnose() calls.
-  void set_location_filter(std::vector<Location> allowed);
-  bool location_filter_active() const noexcept {
-    return !allowed_locations_.empty();
-  }
-
   const DiagnosisGraph& graph() const noexcept { return graph_; }
 
   /// Enables/disables the memoized spatial-join layer (enabled by default).
@@ -133,19 +111,11 @@ class RcaEngine {
   void join(const EventInstance& anchor, const DiagnosisRule& rule,
             JoinScratch& scratch) const;
 
-  /// Location-filter admission for one candidate. The fast path is the
-  /// store-LocId mask built by set_location_filter; instances whose id the
-  /// mask predates (v1 stores intern lazily, so the table can grow after
-  /// the filter is set) fall back to the location hash set.
-  bool location_allowed(const EventInstance& candidate) const;
-
   const DiagnosisGraph graph_;
   const EventStoreView& store_;
   const LocationMapper& mapper_;
   std::unique_ptr<JoinCache> join_cache_;
   bool join_cache_enabled_ = true;
-  std::vector<std::uint8_t> location_mask_;        // by store LocId
-  std::unordered_set<Location> allowed_locations_;  // slow-path twin
 
   // Engine instrumentation, resolved from the installed registry at
   // construction (all-or-nothing: checking one pointer covers the set).

@@ -7,21 +7,11 @@
 #include <map>
 
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace grca::learn {
 
 namespace {
-
-/// Stable 64-bit string hash (FNV-1a); std::hash is not stable across
-/// standard libraries and screening seeds must match everywhere.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 /// The corpus-wide [start, end) window, aligned to `bin`.
 bool store_window(const core::EventStoreView& store, util::TimeSec bin,
@@ -125,7 +115,7 @@ MineOutcome mine_residue(const std::vector<core::Diagnosis>& diagnoses,
       series.push_back(onset_series(store.all(names[i]), start, end,
                                     options.bin));
     }
-    util::Rng rng(options.seed ^ fnv1a(core::to_string(type)));
+    util::Rng rng(options.seed ^ util::stable_hash(core::to_string(type)));
     for (const core::RankedCorrelation& ranked :
          screen_candidates(symptom_series, series, options.nice, rng)) {
       outcome.candidates.push_back(MinedCandidate{

@@ -104,38 +104,18 @@
 //       the stream drains, the persistence watermark seals, listeners
 //       close.
 //
-//   grca shard --study bgp|cdn|pim|innet --data DIR --store DIR
-//              [--workers N] [--threads N] [--mode slice|filter]
-//              [--slice-dir DIR] [--slice-format v1|v2] [--keep-slices]
-//              [--retry-failed] [--dsl FILE]... [--metrics-out FILE]
-//              [--fail-worker N] [--fail-after N]
-//       Sharded multi-process diagnosis: partition the study's symptom
-//       stream by location across N worker processes (forked from this
-//       binary as `grca shard-worker`), each diagnosing off its own
-//       re-sealed slice of the persistent store (--mode slice, default) or
-//       the full store behind a location filter (--mode filter), then merge
-//       the result frames by global sequence number. The breakdown printed
-//       to stdout is byte-identical to `diagnose --study ... --data DIR
-//       --store DIR` up to the mean-diagnosis-time line; the per-worker
-//       status table goes to stderr. Exits nonzero when any worker fails
-//       (per-worker status still printed); --retry-failed reruns failed
-//       shards once — the partition is deterministic, so the rerun merges
-//       byte-identically. --fail-worker/--fail-after are failure-injection
-//       hooks for the tests (worker N aborts after emitting N results).
-//
 //   grca store inspect|verify|compact --dir DIR
 //       Operate on a persisted event log. `inspect` prints per-segment
 //       summaries (sequence, format, events, names, watermark, bytes; for
 //       columnar v2 segments also dictionary and zone-map sizes plus
 //       per-name run summaries: rows, blocks, start range, column-region
-//       bytes — the shard-slice debugging view). `verify`
-//       runs the full integrity sweep — header/footer/frame CRCs, v2
-//       column-region CRCs, full structural decode — and exits nonzero on
-//       any corruption; `--deep` additionally recomputes footer statistics
-//       (max durations, v2 zone maps) from a full rescan. `compact` folds
-//       every sealed segment plus the WAL's valid prefix into one segment
-//       (query results unchanged; `--format v1|v2` picks the output
-//       format, default v2 — the v1 -> v2 upgrade path).
+//       bytes). `verify` runs the full integrity sweep — header/footer/
+//       frame CRCs, v2 column-region CRCs, full structural decode — and
+//       exits nonzero on any corruption; `--deep` additionally recomputes
+//       footer statistics (max durations, v2 zone maps) from a full
+//       rescan. `compact` folds every sealed segment plus the WAL's valid
+//       prefix into one segment (query results unchanged; `--format v1|v2`
+//       picks the output format, default v2 — the v1 -> v2 upgrade path).
 //
 //   grca spans --in FILE [--out FILE]
 //       Convert a span JSONL log (from --span-log) into a Chrome trace
@@ -159,8 +139,6 @@
 //
 //   grca version
 //       Print the build version (also: grca --version).
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -192,8 +170,6 @@
 #include "service/alerts.h"
 #include "service/service_plane.h"
 #include "service/shutdown.h"
-#include "shard/coordinator.h"
-#include "shard/worker.h"
 #include "simulation/archive.h"
 #include "storage/event_log.h"
 #include "storage/persistent_store.h"
@@ -247,11 +223,6 @@ namespace {
              [--idle-ticks N] [--alert-rules FILE] [--workers N]
              [--persist DIR] [--persist-seal-every SEC]
              [--persist-format v1|v2] [--days N] [--symptoms N] [--seed S]
-  grca shard --study bgp|cdn|pim|innet --data DIR --store DIR [--workers N]
-             [--threads N] [--mode slice|filter] [--slice-dir DIR]
-             [--slice-format v1|v2] [--keep-slices] [--retry-failed]
-             [--dsl FILE]... [--metrics-out FILE] [--fail-worker N]
-             [--fail-after N]
   grca store inspect --dir DIR
   grca store verify --dir DIR [--deep]
   grca store compact --dir DIR [--format v1|v2]
@@ -265,13 +236,16 @@ namespace {
   std::exit(2);
 }
 
-/// Minimal flag parser: --key value pairs plus bare flags.
+/// Minimal flag parser: --key value pairs plus bare flags. Each command
+/// names the value keys and bare flags it accepts; any other --key is a
+/// usage error, so a mistyped option never runs silently on a default.
 struct Args {
   std::map<std::string, std::vector<std::string>> values;
   std::set<std::string> flags;
 
   static Args parse(int argc, char** argv, int from,
-                    const std::set<std::string>& bare) {
+                    const std::set<std::string>& keys,
+                    const std::set<std::string>& bare = {}) {
     Args args;
     for (int i = from; i < argc; ++i) {
       std::string arg = argv[i];
@@ -279,9 +253,11 @@ struct Args {
       std::string key = arg.substr(2);
       if (bare.count(key)) {
         args.flags.insert(key);
-      } else {
+      } else if (keys.count(key)) {
         if (i + 1 >= argc) usage("missing value for --" + key);
         args.values[key].push_back(argv[++i]);
+      } else {
+        usage("unknown option --" + key);
       }
     }
     return args;
@@ -924,67 +900,6 @@ int cmd_serve(const Args& args) {
   return 0;
 }
 
-int cmd_shard(const Args& args) {
-  shard::ShardOptions options;
-  options.study = args.get("study");
-  hooks_for(options.study);  // validate the name before forking anything
-  options.data_dir = fs::path(args.get("data"));
-  options.store_dir = fs::path(args.get("store"));
-  long workers = args.get_long("workers", 8);
-  if (workers < 1) usage("--workers must be >= 1");
-  options.workers = static_cast<std::uint32_t>(workers);
-  long threads = args.get_long("threads", 1);
-  if (threads < 1) usage("--threads must be >= 1");
-  options.threads_per_worker = static_cast<std::uint32_t>(threads);
-  options.mode = shard::parse_mode(args.get("mode", "slice"));
-  if (auto it = args.values.find("slice-dir"); it != args.values.end()) {
-    options.slice_dir = fs::path(it->second.back());
-  }
-  options.slice_format =
-      storage::parse_seal_format(args.get("slice-format", "v2"));
-  options.keep_slices = args.flags.count("keep-slices") > 0;
-  options.retry_failed = args.flags.count("retry-failed") > 0;
-  if (auto it = args.values.find("dsl"); it != args.values.end()) {
-    std::stringstream ss;
-    for (const std::string& file : it->second) {
-      std::ifstream in(file);
-      if (!in) usage("cannot open DSL file " + file);
-      ss << in.rdbuf() << "\n";
-    }
-    options.extra_dsl = ss.str();
-  }
-  long fail_worker = args.get_long("fail-worker", -1);
-  if (fail_worker >= 0) {
-    options.test_fail_worker = static_cast<std::uint32_t>(fail_worker);
-    options.test_fail_after =
-        static_cast<std::uint32_t>(args.get_long("fail-after", 0));
-  }
-
-  shard::ShardReport report = shard::run_sharded(options);
-  std::cerr << report.render_status();
-  if (!report.ok) {
-    std::cerr << "shard run FAILED\n";
-    return 1;
-  }
-
-  // Render exactly what `diagnose` renders so the views byte-diff (the
-  // mean-diagnosis-time line differs numerically run to run — it carries
-  // wall time — which is why the CI comparison strips lines containing
-  // "diagnosis time"). `report` outlives the browser: the merged diagnoses
-  // point into its decode arenas.
-  core::ResultBrowser browser(std::move(report.diagnoses));
-  hooks_for(options.study).browser(browser);
-  std::cout << browser.breakdown().render("root cause breakdown");
-  std::cout << "\nmean diagnosis time: " << browser.mean_diagnosis_ms()
-            << " ms/symptom over " << browser.diagnoses().size()
-            << " symptoms\n";
-
-  if (auto it = args.values.find("metrics-out"); it != args.values.end()) {
-    write_metrics_file(fs::path(it->second.back()));
-  }
-  return 0;
-}
-
 int cmd_store(const std::string& action, const Args& args) {
   fs::path dir(args.get("dir"));
   if (action == "verify") {
@@ -1049,9 +964,7 @@ int cmd_store(const std::string& action, const Args& args) {
                   << footer.strings.size() << " attr strings, watermark "
                   << footer.watermark << "\n";
         // Per-name run summaries: rows, zone-map block count + time range,
-        // column-region bytes. This is the shard-slice debugging view —
-        // `grca shard --keep-slices` leaves the per-worker stores on disk
-        // and these lines show what each slice actually holds.
+        // column-region bytes.
         for (const storage::V2Run& run : footer.runs) {
           std::cout << "  " << footer.names[run.name_id] << ": " << run.count
                     << " rows, " << run.blocks.size() << " blocks ("
@@ -1389,55 +1302,76 @@ int main(int argc, char** argv) {
       std::cout << "grca " << GRCA_VERSION << "\n";
       return 0;
     }
-    if (command == "dump-library") return cmd_dump_library();
+    if (command == "dump-library") {
+      Args::parse(argc, argv, 2, {});
+      return cmd_dump_library();
+    }
     if (command == "simulate") {
-      return cmd_simulate(Args::parse(argc, argv, 2, {"paper-scale"}));
+      return cmd_simulate(Args::parse(
+          argc, argv, 2,
+          {"study", "out", "days", "symptoms", "seed", "store-out",
+           "store-format"},
+          {"paper-scale"}));
     }
     if (command == "diagnose") {
-      return cmd_diagnose(Args::parse(argc, argv, 2, {"trend", "score"}));
+      return cmd_diagnose(Args::parse(
+          argc, argv, 2,
+          {"study", "data", "dsl", "threads", "drill", "metrics-out", "store",
+           "span-log"},
+          {"trend", "score"}));
     }
     if (command == "metrics") {
-      return cmd_metrics(Args::parse(argc, argv, 2, {}));
+      return cmd_metrics(Args::parse(
+          argc, argv, 2,
+          {"study", "data", "dsl", "threads", "format", "store", "span-log"}));
     }
     if (command == "calibrate") {
-      return cmd_calibrate(Args::parse(argc, argv, 2, {}));
+      return cmd_calibrate(Args::parse(
+          argc, argv, 2,
+          {"study", "data", "store", "symptom", "diagnostic", "join"}));
     }
     if (command == "replay") {
-      return cmd_replay(
-          Args::parse(argc, argv, 2, {"no-truth", "paper-scale"}));
+      return cmd_replay(Args::parse(
+          argc, argv, 2,
+          {"study", "data", "rate", "ingest-threads", "workers", "tick",
+           "source-lag", "jitter", "seed", "days", "symptoms", "report-out",
+           "metrics-out", "min-rate", "persist", "persist-seal-every",
+           "persist-format"},
+          {"no-truth", "paper-scale"}));
     }
     if (command == "serve") {
       return cmd_serve(Args::parse(
-          argc, argv, 2, {"follow", "once", "public", "paper-scale"}));
-    }
-    if (command == "shard") {
-      return cmd_shard(
-          Args::parse(argc, argv, 2, {"keep-slices", "retry-failed"}));
-    }
-    if (command == "shard-worker") {
-      // Hidden: the exec'd worker half of `grca shard`. Its frame stream
-      // rides the fd that arrived as stdout, so steal it first and point
-      // stdout at stderr — any stray print then lands in the coordinator's
-      // status log instead of corrupting the protocol stream.
-      int out_fd = ::dup(STDOUT_FILENO);
-      if (out_fd < 0 || ::dup2(STDERR_FILENO, STDOUT_FILENO) < 0) {
-        std::cerr << "shard-worker: cannot rewire stdio\n";
-        return 1;
-      }
-      return shard::run_worker(STDIN_FILENO, out_fd);
+          argc, argv, 2,
+          {"study", "data", "port", "port-file", "http-threads", "threads",
+           "api-dump", "rate", "tick", "idle-ticks", "alert-rules", "workers",
+           "persist", "persist-seal-every", "persist-format", "days",
+           "symptoms", "seed"},
+          {"follow", "once", "public", "paper-scale"}));
     }
     if (command == "store") {
       if (argc < 3) usage("store needs an action: inspect|verify|compact");
-      return cmd_store(argv[2], Args::parse(argc, argv, 3, {"deep"}));
+      return cmd_store(argv[2],
+                       Args::parse(argc, argv, 3, {"dir", "format"}, {"deep"}));
     }
     if (command == "spans") {
-      return cmd_spans(Args::parse(argc, argv, 2, {}));
+      return cmd_spans(Args::parse(argc, argv, 2, {"in", "out"}));
     }
     if (command == "benchmark") {
-      return cmd_benchmark(Args::parse(argc, argv, 2, {"deterministic"}));
+      return cmd_benchmark(Args::parse(
+          argc, argv, 2,
+          {"topology", "topo-dir", "scenarios", "days", "symptoms", "seed",
+           "threads", "noise", "pers", "customers", "out", "gate-out"},
+          {"deterministic"}));
     }
     if (command == "learn") {
-      return cmd_learn(Args::parse(argc, argv, 2, {"deterministic"}));
+      return cmd_learn(Args::parse(
+          argc, argv, 2,
+          {"study", "data", "store", "topology", "scenario", "days",
+           "symptoms", "noise", "pers", "customers", "seed", "ablate", "dsl",
+           "max-iterations", "budget", "min-score", "alpha", "permutations",
+           "threads", "out", "gate-out", "rules-out", "metrics-out",
+           "span-log"},
+          {"deterministic"}));
     }
     usage("unknown command '" + command + "'");
   } catch (const std::exception& e) {

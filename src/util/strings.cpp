@@ -8,6 +8,15 @@
 
 namespace grca::util {
 
+std::uint64_t stable_hash(std::string_view text) noexcept {
+  std::uint64_t h = 1469598103934665603ull;
+  for (char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 std::vector<std::string> split(std::string_view text, char sep) {
   std::vector<std::string> out;
   std::size_t begin = 0;

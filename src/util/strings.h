@@ -5,6 +5,7 @@
 // parsers, the rule DSL, and the data normalizer.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -26,6 +27,15 @@ struct StringHash {
 template <typename V>
 using StringMap =
     std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
+
+/// Stable 64-bit string hash for seeds that must match on every platform
+/// (std::hash is not stable across standard libraries). It runs the FNV-1a
+/// xor-multiply loop with the FNV prime, but its offset basis is
+/// non-standard: 1469598103934665603, one digit short of the spec's
+/// 14695981039346656037. Learn-screening seeds, benchmark cell seeds and
+/// the golden scorecard and learn-report fixtures all derive from this
+/// value, so the basis stays as it is.
+std::uint64_t stable_hash(std::string_view text) noexcept;
 
 /// Splits on a single character; empty fields are preserved.
 std::vector<std::string> split(std::string_view text, char sep);

@@ -213,6 +213,13 @@ TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(0.5, 0), "0");  // round-half-even is fine
 }
 
+TEST(Strings, StableHashPinnedValues) {
+  // Seeds and golden fixtures derive from these exact values (including
+  // the non-standard offset basis); a change here is a fixture break.
+  EXPECT_EQ(stable_hash(""), 1469598103934665603ull);
+  EXPECT_EQ(stable_hash("bgp"), 15498545828844798404ull);
+}
+
 // ---- table --------------------------------------------------------------
 
 TEST(TextTable, RendersAlignedColumns) {
