@@ -2,17 +2,15 @@
 // SPDX-License-Identifier: MIT
 //
 // Persistent event store gate: measures write-ahead append throughput,
-// sealing (v1 row format and v2 columnar), and the mmap-backed cold-open
-// query path against the in-memory store on the same corpus. Fails unless
+// sealing into the columnar format, and the mmap-backed cold-open query
+// path against the in-memory store on the same corpus. Fails unless
 //  (a) every windowed query answers byte-identically to the in-memory
-//      reference on BOTH formats,
+//      reference, and
 //  (b) cold open + querying beats rebuilding the in-memory store from
-//      scratch — the point of persisting at all, and
-//  (c) the v2 columnar reader answers the windowed-scan phase at least
-//      kRequiredMultiplier times faster than v1 on the same query list —
-//      the zone-map-skipping gate for the columnar format.
+//      scratch — the point of persisting at all.
 // Reports JSON (default BENCH_storage.json) for the CI artifact trail,
-// including the zone-map skip ratio.
+// including the windowed-query rate and the zone-map skip ratio that
+// tools/bench_diff.py gates against bench/baselines.
 
 #include <algorithm>
 #include <chrono>
@@ -32,8 +30,6 @@ namespace {
 
 using namespace grca;
 using util::TimeSec;
-
-constexpr double kRequiredMultiplier = 5.0;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -120,18 +116,15 @@ int main(int argc, char** argv) {
   }
   const TimeSec watermark = base + span + 1;
 
-  std::filesystem::path dir_v2 =
-      std::filesystem::temp_directory_path() / "grca-bench-storage-v2";
-  std::filesystem::path dir_v1 =
-      std::filesystem::temp_directory_path() / "grca-bench-storage-v1";
-  std::filesystem::remove_all(dir_v2);
-  std::filesystem::remove_all(dir_v1);
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "grca-bench-storage";
+  std::filesystem::remove_all(dir);
 
   // Write-ahead append throughput, then seal into the columnar segment.
   double append_s, seal_s;
   std::uint64_t bytes_appended;
   {
-    storage::EventLogWriter writer(dir_v2);  // default format: v2
+    storage::EventLogWriter writer(dir);
     auto t0 = std::chrono::steady_clock::now();
     for (const core::EventInstance& e : corpus) writer.append(e);
     append_s = seconds_since(t0);
@@ -142,20 +135,14 @@ int main(int argc, char** argv) {
   }
 
   // In-memory reference: the cost a diagnosis run pays today to get a
-  // queryable store from already-extracted events. Also the source for the
-  // v1 comparison log (same bucket order as the sealed writer produces).
+  // queryable store from already-extracted events.
   auto t0 = std::chrono::steady_clock::now();
   core::EventStore mem;
   for (const core::EventInstance& e : corpus) mem.add(e);
   mem.warm();
   double build_s = seconds_since(t0);
 
-  t0 = std::chrono::steady_clock::now();
-  storage::write_sealed_store(dir_v1, mem, watermark,
-                              storage::SealFormat::kV1);
-  double seal_v1_s = seconds_since(t0);
-
-  // The shared windowed-scan query list: narrow windows (the diagnosis
+  // The windowed-scan query list: narrow windows (the diagnosis
   // engine's shape — rule windows are minutes, not days) spread over the
   // whole span.
   constexpr int kWindowedQueries = 400;
@@ -170,23 +157,16 @@ int main(int argc, char** argv) {
     queries.push_back(w);
   }
 
-  // Cold open + windowed scans, v1 first (fresh process-state for each:
-  // every store instance starts with nothing materialized).
+  // Cold open + windowed scans (the store starts with nothing
+  // materialized).
   t0 = std::chrono::steady_clock::now();
-  storage::PersistentEventStore disk_v1 =
-      storage::PersistentEventStore::open(dir_v1);
-  double open_v1_s = seconds_since(t0);
-  std::size_t hits_v1 = 0;
-  double windowed_v1_s = run_windowed(disk_v1, queries, hits_v1);
+  storage::PersistentEventStore disk =
+      storage::PersistentEventStore::open(dir);
+  double open_s = seconds_since(t0);
+  std::size_t hits = 0;
+  double windowed_s = run_windowed(disk, queries, hits);
 
-  t0 = std::chrono::steady_clock::now();
-  storage::PersistentEventStore disk_v2 =
-      storage::PersistentEventStore::open(dir_v2);
-  double open_v2_s = seconds_since(t0);
-  std::size_t hits_v2 = 0;
-  double windowed_v2_s = run_windowed(disk_v2, queries, hits_v2);
-
-  const auto& zone = disk_v2.query_stats();
+  const auto& zone = disk.query_stats();
   std::uint64_t zone_considered =
       zone.zone_blocks_considered.load(std::memory_order_relaxed);
   std::uint64_t zone_skipped =
@@ -196,56 +176,43 @@ int main(int argc, char** argv) {
           ? static_cast<double>(zone_skipped) / zone_considered
           : 0.0;
 
-  // Correctness: both formats must answer every query byte-identically to
-  // the in-memory reference (fresh opens, so the timed scans above ran on
-  // exactly the state being checked here plus the cached decodes).
-  bool identical = hits_v1 == hits_v2;
-  identical &= check_identical(disk_v1, mem, queries);
-  identical &= check_identical(disk_v2, mem, queries);
+  // Correctness: every query must answer byte-identically to the
+  // in-memory reference (the timed scans above ran on exactly the state
+  // being checked here plus the cached decodes).
+  bool identical = check_identical(disk, mem, queries);
 
   // Full decode (every name, every row) — the amortized read ceiling.
   t0 = std::chrono::steady_clock::now();
   std::size_t decoded = 0;
-  for (const std::string& name : disk_v2.event_names()) {
-    decoded += disk_v2.all(name).size();
+  for (const std::string& name : disk.event_names()) {
+    decoded += disk.all(name).size();
   }
   double decode_s = seconds_since(t0);
   identical &= decoded == mem.total_instances();
 
-  double multiplier =
-      windowed_v2_s > 0 ? windowed_v1_s / windowed_v2_s : 0.0;
-  double cold_total_s = open_v2_s + windowed_v2_s;
+  double cold_total_s = open_s + windowed_s;
   const bool faster = cold_total_s < build_s;
-  const bool fast_enough = multiplier >= kRequiredMultiplier;
-  std::uint64_t v1_bytes = dir_bytes(dir_v1);
-  std::uint64_t v2_bytes = dir_bytes(dir_v2);
+  std::uint64_t sealed_bytes = dir_bytes(dir);
 
   util::TextTable table({"Stage", "Wall (s)", "Rate"});
   table.add_row({"WAL append", util::format_double(append_s, 4),
                  util::format_double(count / append_s, 0) + " ev/s"});
-  table.add_row({"seal v2 (columnar)", util::format_double(seal_s, 4), "-"});
-  table.add_row({"seal v1 (rows)", util::format_double(seal_v1_s, 4), "-"});
+  table.add_row({"seal (columnar)", util::format_double(seal_s, 4), "-"});
   table.add_row({"in-memory build+warm", util::format_double(build_s, 4), "-"});
-  table.add_row({"cold open v1", util::format_double(open_v1_s, 4), "-"});
-  table.add_row({"cold open v2", util::format_double(open_v2_s, 4), "-"});
-  table.add_row({"windowed scans v1", util::format_double(windowed_v1_s, 4),
-                 util::format_double(kWindowedQueries / windowed_v1_s, 0) +
+  table.add_row({"cold open", util::format_double(open_s, 4), "-"});
+  table.add_row({"windowed scans", util::format_double(windowed_s, 4),
+                 util::format_double(kWindowedQueries / windowed_s, 0) +
                      " q/s"});
-  table.add_row({"windowed scans v2", util::format_double(windowed_v2_s, 4),
-                 util::format_double(kWindowedQueries / windowed_v2_s, 0) +
-                     " q/s"});
-  table.add_row({"full decode v2", util::format_double(decode_s, 4),
+  table.add_row({"full decode", util::format_double(decode_s, 4),
                  util::format_double(decoded / decode_s, 0) + " ev/s"});
   std::fputs(
       table.render("persistent store scaling (" + std::to_string(count) +
                    " events)").c_str(),
       stdout);
   std::printf("query results vs in-memory: %s (%zu instances returned)\n",
-              identical ? "byte-identical" : "DIVERGED", hits_v2);
+              identical ? "byte-identical" : "DIVERGED", hits);
   std::printf(
-      "v2 vs v1 windowed multiplier: %.2fx (gate: >= %.1fx), zone maps "
-      "skipped %llu/%llu blocks (%.1f%%)\n",
-      multiplier, kRequiredMultiplier,
+      "zone maps skipped %llu/%llu blocks (%.1f%%)\n",
       static_cast<unsigned long long>(zone_skipped),
       static_cast<unsigned long long>(zone_considered),
       100.0 * zone_skip_ratio);
@@ -258,18 +225,13 @@ int main(int argc, char** argv) {
         << "  \"append_seconds\": " << append_s << ",\n"
         << "  \"append_events_per_s\": " << count / append_s << ",\n"
         << "  \"seal_seconds\": " << seal_s << ",\n"
-        << "  \"v1_seal_seconds\": " << seal_v1_s << ",\n"
-        << "  \"v1_bytes\": " << v1_bytes << ",\n"
-        << "  \"v2_bytes\": " << v2_bytes << ",\n"
+        << "  \"v2_bytes\": " << sealed_bytes << ",\n"
         << "  \"mem_build_seconds\": " << build_s << ",\n"
-        << "  \"cold_open_seconds\": " << open_v2_s << ",\n"
-        << "  \"v1_cold_open_seconds\": " << open_v1_s << ",\n"
+        << "  \"cold_open_seconds\": " << open_s << ",\n"
         << "  \"windowed_queries\": " << kWindowedQueries << ",\n"
-        << "  \"v1_windowed_seconds\": " << windowed_v1_s << ",\n"
-        << "  \"v2_windowed_seconds\": " << windowed_v2_s << ",\n"
+        << "  \"v2_windowed_seconds\": " << windowed_s << ",\n"
         << "  \"v2_windowed_queries_per_s\": "
-        << kWindowedQueries / windowed_v2_s << ",\n"
-        << "  \"v2_vs_v1_query_multiplier\": " << multiplier << ",\n"
+        << kWindowedQueries / windowed_s << ",\n"
         << "  \"zone_blocks_considered\": " << zone_considered << ",\n"
         << "  \"zone_blocks_skipped\": " << zone_skipped << ",\n"
         << "  \"zone_skip_ratio\": " << zone_skip_ratio << ",\n"
@@ -280,8 +242,7 @@ int main(int argc, char** argv) {
         << "}\n";
     std::printf("report written to %s\n", out_file.c_str());
   }
-  std::filesystem::remove_all(dir_v2);
-  std::filesystem::remove_all(dir_v1);
+  std::filesystem::remove_all(dir);
   bench::write_metrics_if_requested(argc, argv);
   if (!identical) std::fprintf(stderr, "FAIL: persistent queries diverged\n");
   if (!faster) {
@@ -290,11 +251,5 @@ int main(int argc, char** argv) {
                  "rebuild (%.4fs)\n",
                  cold_total_s, build_s);
   }
-  if (!fast_enough) {
-    std::fprintf(stderr,
-                 "FAIL: v2 windowed scans only %.2fx faster than v1 "
-                 "(gate: %.1fx)\n",
-                 multiplier, kRequiredMultiplier);
-  }
-  return (identical && faster && fast_enough) ? 0 : 1;
+  return (identical && faster) ? 0 : 1;
 }

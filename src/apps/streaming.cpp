@@ -37,7 +37,7 @@ StreamingRca::StreamingRca(const topology::Network& net,
     // The crash-torn WAL is discarded: everything past the last seal is
     // re-derived from the re-fed stream (extract_floor_ gates duplicates).
     persist_ = std::make_unique<storage::EventLogWriter>(
-        options_.persist_dir, /*discard_wal=*/true, options_.persist_format);
+        options_.persist_dir, /*discard_wal=*/true);
     if (sealed.watermark) {
       for (core::EventInstance& e : sealed.events) store_.add(std::move(e));
       store_.warm();

@@ -54,7 +54,7 @@ struct StreamingOptions {
   collector::ExtractOptions extract;
   /// Write-ahead persistence (empty = off): every frozen event is appended
   /// to the segmented event log at this directory the moment it enters the
-  /// store, and the log is sealed into an indexed segment every
+  /// store, and the log is sealed into a columnar segment every
   /// `persist_seal_every` stream-seconds of freeze progress (and on
   /// drain()). If the directory already holds sealed segments, the engine
   /// *resumes*: sealed events reload into the store, extraction of the
@@ -65,8 +65,6 @@ struct StreamingOptions {
   /// its events are re-derived from the stream.
   std::filesystem::path persist_dir;
   util::TimeSec persist_seal_every = util::kHour;
-  /// On-disk format for sealed segments (the WAL is always v1 frames).
-  storage::SealFormat persist_format = storage::SealFormat::kV2;
 };
 
 class StreamingRca {

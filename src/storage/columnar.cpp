@@ -112,8 +112,8 @@ std::vector<std::uint8_t> encode_sealed_segment_v2(
     return it->second;
   };
 
-  std::vector<std::uint8_t> out = encode_segment_header(
-      seq, SegmentKind::kSealed, /*format_version=*/2);
+  std::vector<std::uint8_t> out =
+      encode_segment_header(seq, SegmentKind::kSealed);
 
   for (const auto& [name, events] : groups) {
     if (events.empty()) continue;
@@ -226,7 +226,7 @@ std::vector<std::uint8_t> encode_v2_footer(const V2Footer& footer) {
 namespace {
 
 /// The location-type range accepted when rebuilding the dictionary (same
-/// guard as the v1 row codec).
+/// guard as the WAL row codec).
 constexpr std::uint8_t kMaxLocationType =
     static_cast<std::uint8_t>(core::LocationType::kRouterPath);
 

@@ -2,8 +2,9 @@
 // SPDX-License-Identifier: MIT
 //
 // The columnar sealed-block format, v2 (docs/STORAGE.md has the byte
-// diagram). Where v1 stores one CRC-framed row-oriented record per event,
-// v2 stores each name run as four contiguous per-column buffers —
+// diagram). Where the WAL stores one CRC-framed row-oriented record per
+// event, a sealed segment stores each name run as four contiguous
+// per-column buffers —
 //
 //   starts     block-restarting delta encoding: the block's first start as
 //              a raw i64, then LEB128 deltas (runs are sorted by start, so
@@ -23,7 +24,7 @@
 // block independently decodable, so skipped means skipped.
 //
 // Integrity: the footer (dictionaries + zone maps) rides the sealed
-// trailer's CRC exactly like v1; each run's column region additionally
+// trailer's CRC; each run's column region additionally
 // carries its own CRC32C, checked by verify_store (the query path is
 // bounds-checked but does not re-checksum — see docs/STORAGE.md).
 #pragma once
@@ -41,11 +42,10 @@ namespace grca::storage {
 
 class SegmentReader;
 
-/// Rows per v2 block (one zone-map entry each). Deliberately finer than
-/// v1's 64-frame checkpoints: a block is the unit a query must walk even
-/// when it wants one row (variable-width columns decode from the block
-/// start), and columnar rows are cheap enough that 16-row blocks keep the
-/// zone maps ~3 bytes/row while cutting the per-query walk 4x.
+/// Rows per v2 block (one zone-map entry each). A block is the unit a
+/// query must walk even when it wants one row (variable-width columns
+/// decode from the block start), and columnar rows are cheap enough that
+/// 16-row blocks keep the zone maps ~3 bytes/row.
 inline constexpr std::uint32_t kV2BlockRows = 16;
 
 /// Zone map + column slice directory for one block of kV2BlockRows rows.
@@ -94,10 +94,11 @@ struct V2Footer {
   std::vector<V2Run> runs;                 // name_id order
 };
 
-/// Builds the full byte image of a v2 sealed segment. Same contract as the
-/// v1 builder: `groups` sorted by name, each group's instances sorted by
-/// start, and row order inside a group is preserved verbatim (the basis of
-/// byte-identical reads across formats).
+/// Builds the full byte image of a v2 sealed segment. `groups` must be
+/// sorted by name with each group's instances sorted by start — the builder
+/// trusts the order (callers: EventLogWriter::seal, write_sealed_store and
+/// the compactor, all of which sort first). Row order inside a group is
+/// preserved verbatim (the basis of byte-identical reads across backends).
 std::vector<std::uint8_t> encode_sealed_segment_v2(
     std::uint64_t seq, util::TimeSec watermark,
     const std::vector<

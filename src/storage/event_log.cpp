@@ -86,19 +86,6 @@ group_for_seal(const std::vector<core::EventInstance>& events) {
   return groups;
 }
 
-/// Format dispatch for the three seal sites (writer, batch export,
-/// compaction).
-std::vector<std::uint8_t> encode_sealed(
-    std::uint64_t seq, util::TimeSec watermark,
-    const std::vector<
-        std::pair<std::string, std::vector<const core::EventInstance*>>>&
-        groups,
-    SealFormat format) {
-  return format == SealFormat::kV2
-             ? encode_sealed_segment_v2(seq, watermark, groups)
-             : encode_sealed_segment(seq, watermark, groups);
-}
-
 }  // namespace
 
 std::vector<fs::path> list_segments(const fs::path& dir) {
@@ -117,9 +104,8 @@ std::vector<fs::path> list_segments(const fs::path& dir) {
   return out;
 }
 
-EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal,
-                               SealFormat seal_format)
-    : dir_(dir), seal_format_(seal_format) {
+EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal)
+    : dir_(dir) {
   fs::create_directories(dir_);
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     bytes_written_ = &reg->counter("grca_storage_bytes_written_total");
@@ -194,7 +180,7 @@ std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
   obs::ScopedSpan span("store-seal");
   auto groups = group_for_seal(pending_);
   std::vector<std::uint8_t> image =
-      encode_sealed(next_seq_, watermark, groups, seal_format_);
+      encode_sealed_segment_v2(next_seq_, watermark, groups);
   write_atomically(segment_path(dir_, next_seq_), image);
   if (bytes_written_) bytes_written_->inc(image.size());
   if (seals_) seals_->inc();
@@ -209,7 +195,7 @@ std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
 }
 
 void write_sealed_store(const fs::path& dir, const core::EventStore& store,
-                        util::TimeSec watermark, SealFormat format) {
+                        util::TimeSec watermark) {
   obs::ScopedSpan span("store-seal");
   fs::create_directories(dir);
   // Replace semantics: a store-out directory holds exactly this corpus.
@@ -225,7 +211,8 @@ void write_sealed_store(const fs::path& dir, const core::EventStore& store,
     for (const core::EventInstance& e : bucket) ptrs.push_back(&e);
     groups.emplace_back(name, std::move(ptrs));
   }
-  std::vector<std::uint8_t> image = encode_sealed(1, watermark, groups, format);
+  std::vector<std::uint8_t> image =
+      encode_sealed_segment_v2(1, watermark, groups);
   write_atomically(segment_path(dir, 1), image);
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     reg->counter("grca_storage_bytes_written_total").inc(image.size());
@@ -242,7 +229,7 @@ SealedLoad load_sealed_events(const fs::path& dir) {
     load.events.insert(load.events.end(),
                        std::make_move_iterator(events.begin()),
                        std::make_move_iterator(events.end()));
-    util::TimeSec watermark = seg.sealed_watermark();
+    util::TimeSec watermark = seg.v2_footer().watermark;
     if (!load.watermark || watermark > *load.watermark) {
       load.watermark = watermark;
     }
@@ -253,89 +240,12 @@ SealedLoad load_sealed_events(const fs::path& dir) {
 
 namespace {
 
-/// v1 sealed-segment check: every frame decodes, footer/frame agreement
-/// (counts, tiling, ordering, index checkpoints, max durations). v1 frames
-/// are self-describing, so this *is* the full rescan — deep mode adds
-/// nothing for v1.
-void check_sealed_v1(const SegmentReader& seg, VerifyReport& report) {
-  const fs::path& path = seg.path();
-  SegmentReader::Scan scan = seg.scan_frames();
-  report.frames += scan.events.size();
-  if (scan.dropped_bytes != 0) {
-    report.errors.push_back(path.string() + ": corrupt frame at offset " +
-                            std::to_string(scan.valid_bytes));
-    return;
-  }
-  const SegmentFooter& footer = seg.footer();
-  if (scan.events.size() != footer.event_count) {
-    report.errors.push_back(
-        path.string() + ": footer claims " +
-        std::to_string(footer.event_count) + " events, found " +
-        std::to_string(scan.events.size()));
-  }
-  // Footer/frame agreement: runs must tile the frame region in name
-  // order, each sorted by start with consistent index checkpoints.
-  std::uint64_t cursor = kSegmentHeaderBytes;
-  std::size_t event_at = 0;
-  for (std::size_t r = 0; r < footer.runs.size(); ++r) {
-    const NameRun& run = footer.runs[r];
-    std::string where = path.string() + " run '" + run.name + "'";
-    if (r > 0 && !(footer.runs[r - 1].name < run.name)) {
-      report.errors.push_back(where + ": names out of order");
-    }
-    if (run.first_offset != cursor) {
-      report.errors.push_back(where + ": offset " +
-                              std::to_string(run.first_offset) +
-                              " does not tile (expected " +
-                              std::to_string(cursor) + ")");
-      break;
-    }
-    cursor += run.byte_len;
-    util::TimeSec max_duration = 0;
-    util::TimeSec prev_start = std::numeric_limits<util::TimeSec>::min();
-    for (std::uint64_t i = 0; i < run.count; ++i) {
-      if (event_at >= scan.events.size()) break;
-      const core::EventInstance& e = scan.events[event_at++];
-      if (e.name != run.name) {
-        report.errors.push_back(where + ": frame " + std::to_string(i) +
-                                " belongs to '" + e.name + "'");
-        break;
-      }
-      if (e.when.start < prev_start) {
-        report.errors.push_back(where + ": frames out of start order");
-        break;
-      }
-      prev_start = e.when.start;
-      max_duration = std::max(max_duration, e.when.duration());
-      if (i % run.block_frames == 0) {
-        const BlockEntry& block = run.blocks[i / run.block_frames];
-        if (block.first_start != e.when.start) {
-          report.errors.push_back(where + ": index block " +
-                                  std::to_string(i / run.block_frames) +
-                                  " start mismatch");
-          break;
-        }
-      }
-    }
-    if (max_duration != run.max_duration) {
-      report.errors.push_back(where + ": footer max_duration " +
-                              std::to_string(run.max_duration) +
-                              " != observed " +
-                              std::to_string(max_duration));
-    }
-  }
-  if (cursor != seg.frames_end()) {
-    report.errors.push_back(path.string() +
-                            ": runs do not cover the frame region");
-  }
-}
-
-/// v2 sealed-segment check. Normal mode: per-run region CRCs plus a full
+/// Sealed-segment check. Normal mode: per-run region CRCs plus a full
 /// structural decode (every varint bounds-checked, every dictionary id
 /// resolved). Deep mode additionally recomputes the footer statistics —
 /// max durations and every zone map — from the decoded rows.
-void check_sealed_v2(const SegmentReader& seg, VerifyReport& report,
-                     bool deep) {
+void check_sealed(const SegmentReader& seg, VerifyReport& report,
+                  bool deep) {
   const fs::path& path = seg.path();
   const V2Footer& footer = seg.v2_footer();
   std::span<const std::uint8_t> bytes = seg.bytes();
@@ -421,6 +331,14 @@ VerifyReport verify_store(const fs::path& dir, bool deep) {
   if (fs::exists(wal_path)) paths.push_back(wal_path);
   for (const fs::path& path : paths) {
     ++report.segments;
+    if (path == wal_path && fs::file_size(path) < kSegmentHeaderBytes) {
+      // A crash while the WAL was being rewritten tore its header: the
+      // whole file is a torn tail, as open() and EventLogWriter treat it.
+      std::uint64_t size = fs::file_size(path);
+      report.bytes += size;
+      report.torn_wal_bytes += size;
+      continue;
+    }
     SegmentReader seg;
     try {
       seg = SegmentReader::open(path);
@@ -429,31 +347,21 @@ VerifyReport verify_store(const fs::path& dir, bool deep) {
       continue;
     }
     report.bytes += seg.size();
-    if (!seg.sealed()) {
-      // Only the (always-v1) WAL may be live; a seg-* file without a valid
-      // seal lost its footer to corruption.
+    if (seg.sealed()) {
+      check_sealed(seg, report, deep);
+    } else if (path == wal_path) {
       SegmentReader::Scan scan = seg.scan_frames();
       report.frames += scan.events.size();
-      if (path == wal_path) {
-        report.torn_wal_bytes += scan.dropped_bytes;
-      } else {
-        report.errors.push_back(path.string() +
-                                ": sealed segment lost its seal");
-      }
-      continue;
-    }
-    if (seg.format_version() == kFormatV2) {
-      ++report.v2_segments;
-      check_sealed_v2(seg, report, deep);
+      report.torn_wal_bytes += scan.dropped_bytes;
     } else {
-      check_sealed_v1(seg, report);
+      // Only the WAL may be live.
+      report.errors.push_back(path.string() + ": not a sealed segment");
     }
   }
   return report;
 }
 
-std::optional<std::uint64_t> compact_store(const fs::path& dir,
-                                           SealFormat format) {
+std::optional<std::uint64_t> compact_store(const fs::path& dir) {
   // Collect every event: sealed segments in sequence order, then the WAL's
   // valid prefix. The stable per-(name,start) sort in group_for_seal keeps
   // ties in this collection order, so merged buckets read back in exactly
@@ -474,14 +382,16 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir,
       throw StorageError("storage: refusing to compact corrupt segment " +
                          path.string() + ": " + e.what());
     }
-    watermark = std::max(watermark, seg.sealed_watermark());
+    watermark = std::max(watermark, seg.v2_footer().watermark);
     events.insert(events.end(),
                   std::make_move_iterator(from_seg.begin()),
                   std::make_move_iterator(from_seg.end()));
   }
   std::uint64_t next_seq = 1;
   fs::path wal_path = dir / kWalName;
-  if (fs::exists(wal_path)) {
+  // A WAL torn inside its header holds no frames: compact it as empty.
+  if (fs::exists(wal_path) &&
+      fs::file_size(wal_path) >= kSegmentHeaderBytes) {
     SegmentReader wal = SegmentReader::open(wal_path);
     SegmentReader::Scan scan = wal.scan_frames();
     events.insert(events.end(),
@@ -495,7 +405,7 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir,
   obs::ScopedSpan span("store-compact");
   auto groups = group_for_seal(events);
   std::vector<std::uint8_t> image =
-      encode_sealed(next_seq, watermark, groups, format);
+      encode_sealed_segment_v2(next_seq, watermark, groups);
   fs::path out_path = segment_path(dir, next_seq);
   write_atomically(out_path, image);
   // Post-compact invariant check *before* any input is removed: re-open
@@ -508,16 +418,12 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir,
     SegmentReader out;
     try {
       out = SegmentReader::open(out_path);
-      if (out.format_version() == kFormatV2) {
-        check_sealed_v2(out, check, /*deep=*/true);
-      } else {
-        check_sealed_v1(out, check);
-      }
-      if (out.sealed_event_count() != events.size()) {
+      check_sealed(out, check, /*deep=*/true);
+      if (out.v2_footer().event_count != events.size()) {
         check.errors.push_back(out_path.string() + ": compacted " +
                                std::to_string(events.size()) +
                                " events but footer claims " +
-                               std::to_string(out.sealed_event_count()));
+                               std::to_string(out.v2_footer().event_count));
       }
     } catch (const StorageError& e) {
       check.errors.push_back(e.what());

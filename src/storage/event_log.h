@@ -10,7 +10,7 @@
 //
 // Appends go to the WAL frame by frame (crash-safe: a torn tail is
 // truncated on the next open). seal() rewrites everything pending as a new
-// sealed, indexed segment — written to a temp file and renamed, so a crash
+// sealed columnar segment — written to a temp file and renamed, so a crash
 // mid-seal leaves either the old state or the new, never a half segment —
 // and resets the WAL. The sealed-segment watermark records the stream time
 // up to which the writer's producer had finalized events; a restarted
@@ -40,7 +40,7 @@ std::vector<std::filesystem::path> list_segments(
     const std::filesystem::path& dir);
 
 /// Appends events to the log's WAL and periodically seals them into
-/// indexed segments. Single-writer by design (the ingest thread).
+/// columnar segments. Single-writer by design (the ingest thread).
 class EventLogWriter {
  public:
   /// Opens (creating if needed) the log at `dir`. An existing WAL is
@@ -49,35 +49,31 @@ class EventLogWriter {
   /// append) or dropped (discard_wal = true — the streaming engine, which
   /// resumes strictly from the last *sealed* segment and re-derives the
   /// tail from its feed). Torn bytes are counted into the
-  /// `grca_storage_recovered_bytes` metric either way. `seal_format`
-  /// selects the on-disk format seal() writes; the WAL itself is always v1
-  /// live frames.
+  /// `grca_storage_recovered_bytes` metric either way.
   explicit EventLogWriter(const std::filesystem::path& dir,
-                          bool discard_wal = false,
-                          SealFormat seal_format = SealFormat::kV2);
+                          bool discard_wal = false);
 
   /// Write-ahead append: the frame is on the stream (and flushed) before
   /// this returns.
   void append(const core::EventInstance& e);
 
   /// Seals everything pending (recovered + appended since the last seal)
-  /// into segment `seq = last+1`, grouped by name and sorted by start, with
-  /// `watermark` recorded in the footer; then truncates the WAL. A seal
-  /// with nothing pending still writes an (empty) segment — it records
-  /// watermark progress, which resume depends on across quiet intervals;
-  /// compaction folds empty segments away. Returns the new sequence number.
+  /// into columnar segment `seq = last+1`, grouped by name and sorted by
+  /// start, with `watermark` recorded in the footer; then truncates the
+  /// WAL. A seal with nothing pending still writes an (empty) segment — it
+  /// records watermark progress, which resume depends on across quiet
+  /// intervals; compaction folds empty segments away. Returns the new
+  /// sequence number.
   std::optional<std::uint64_t> seal(util::TimeSec watermark);
 
   std::size_t pending() const noexcept { return pending_.size(); }
   std::uint64_t bytes_appended() const noexcept { return bytes_appended_; }
   const std::filesystem::path& dir() const noexcept { return dir_; }
-  SealFormat seal_format() const noexcept { return seal_format_; }
 
  private:
   void open_wal_for_append(std::uint64_t at);
 
   std::filesystem::path dir_;
-  SealFormat seal_format_ = SealFormat::kV2;
   std::ofstream wal_;
   std::uint64_t next_seq_ = 1;
   std::vector<core::EventInstance> pending_;
@@ -94,8 +90,7 @@ class EventLogWriter {
 /// grouped and sorted, so the segment is a single ordered pass.
 void write_sealed_store(const std::filesystem::path& dir,
                         const core::EventStore& store,
-                        util::TimeSec watermark,
-                        SealFormat format = SealFormat::kV2);
+                        util::TimeSec watermark);
 
 /// Everything recoverable from the log's *sealed* segments, in (segment
 /// sequence, file) order — the streaming engine's resume source. The WAL is
@@ -108,20 +103,18 @@ struct SealedLoad {
 SealedLoad load_sealed_events(const std::filesystem::path& dir);
 
 /// Full-sweep integrity check. Normal mode checks every checksum and every
-/// byte's decodability: header CRCs, footer CRCs, every v1 frame CRC, v2
-/// region CRCs, a full structural decode, and footer/data agreement on
-/// counts and tiling (plus ordering and max durations for v1, whose frames
-/// carry no region CRC). A segment file that has lost its seal is an error;
-/// only the WAL may legitimately carry a torn tail (reported, not an
-/// error). Deep mode additionally rescans every sealed segment and
-/// recomputes the footer statistics — per-run max_duration and, for v2,
-/// every zone map (min/max start, location range, name bitmap) — against
-/// the decoded rows, catching stats-only damage that checksums can't (a
-/// bug in a writer, not a bit flip).
+/// byte's decodability: header CRCs, footer CRCs, every WAL frame CRC,
+/// column region CRCs, a full structural decode, and footer/data agreement
+/// on counts and tiling. A segment file that is not sealed (a v1 sealed
+/// segment included) is an error; only the WAL may legitimately carry a
+/// torn tail, even one inside its header (reported, not an error). Deep
+/// mode additionally recomputes the footer statistics — per-run
+/// max_duration and every zone map (min/max start, location range, name
+/// bitmap) — against the decoded rows, catching stats-only damage that
+/// checksums can't (a bug in a writer, not a bit flip).
 struct VerifyReport {
   std::size_t segments = 0;
-  std::size_t v2_segments = 0;
-  std::uint64_t frames = 0;  // decoded rows (v1 frames or v2 rows)
+  std::uint64_t frames = 0;  // decoded rows (WAL frames or sealed rows)
   std::uint64_t bytes = 0;
   std::uint64_t torn_wal_bytes = 0;
   bool deep = false;
@@ -132,17 +125,15 @@ struct VerifyReport {
 VerifyReport verify_store(const std::filesystem::path& dir,
                           bool deep = false);
 
-/// Rewrites the log as a single sealed segment (in `format`) containing
-/// every event from every sealed segment plus the WAL's valid prefix, then
-/// removes the inputs. Query results are unchanged (same events, same
-/// order — ties keep segment order); the newest input watermark is carried
-/// over. Before any input is removed, the freshly written segment is
-/// re-opened and deep-checked (footer statistics recomputed from a full
-/// rescan); a mismatch deletes the output and throws, leaving the inputs
-/// untouched. With the default format this doubles as the v1 -> v2
-/// upgrade path. Returns the new segment's sequence number, or nullopt
-/// when the log is empty.
-std::optional<std::uint64_t> compact_store(
-    const std::filesystem::path& dir, SealFormat format = SealFormat::kV2);
+/// Rewrites the log as a single sealed segment containing every event from
+/// every sealed segment plus the WAL's valid prefix (a WAL torn inside its
+/// header counts as empty), then removes the inputs. Query results are
+/// unchanged (same events, same order — ties keep segment order); the
+/// newest input watermark is carried over. Before any input is removed,
+/// the freshly written segment is re-opened and deep-checked (footer
+/// statistics recomputed from a full rescan); a mismatch deletes the
+/// output and throws, leaving the inputs untouched. Returns the new
+/// segment's sequence number, or nullopt when the log is empty.
+std::optional<std::uint64_t> compact_store(const std::filesystem::path& dir);
 
 }  // namespace grca::storage

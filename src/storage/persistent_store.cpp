@@ -8,35 +8,10 @@
 
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "storage/codec.h"
 #include "storage/event_log.h"
 #include "util/error.h"
 
 namespace grca::storage {
-
-namespace {
-
-/// Decodes exactly `count` frames starting at absolute file offset `at`,
-/// passing each to `sink`. Sealed segments are CRC-complete by
-/// construction, so an invalid frame here is corruption.
-template <typename Sink>
-void decode_run_frames(const SegmentReader& seg, std::uint64_t at,
-                       std::uint64_t count, Sink&& sink) {
-  std::span<const std::uint8_t> bytes = seg.bytes();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::optional<FrameView> frame =
-        probe_frame(bytes.subspan(at, seg.frames_end() - at));
-    if (!frame) {
-      throw StorageError("storage: corrupt frame in sealed segment " +
-                         seg.path().string() + " at offset " +
-                         std::to_string(at));
-    }
-    sink(decode_event(frame->payload));
-    at += frame->frame_bytes;
-  }
-}
-
-}  // namespace
 
 PersistentEventStore PersistentEventStore::open(
     const std::filesystem::path& dir) {
@@ -44,29 +19,27 @@ PersistentEventStore PersistentEventStore::open(
   PersistentEventStore store;
   store.dir_ = dir;
 
-  // Map every sealed segment; a seg-*.grseg without a valid footer lost
-  // its seal to corruption, which open() refuses (verify/compact are the
-  // repair tools).
+  // Map every sealed segment. SegmentReader::open already refuses a
+  // damaged footer or a v1 sealed segment; a live segment under a sealed
+  // segment's name is refused here (verify is the diagnostic tool).
   for (const std::filesystem::path& path : list_segments(dir)) {
     auto seg = std::make_unique<SegmentReader>(SegmentReader::open(path));
     if (!seg->sealed()) {
       throw StorageError("storage: segment " + path.string() +
-                         " has no valid footer (damaged seal)");
+                         " is not sealed");
     }
     store.stats_.mapped_bytes += seg->size();
-    if (seg->format_version() == kFormatV2) ++store.stats_.v2_segments;
-    store.watermark_ = std::max(store.watermark_, seg->sealed_watermark());
+    store.watermark_ = std::max(store.watermark_, seg->v2_footer().watermark);
     store.segments_.push_back(std::move(seg));
   }
   store.stats_.sealed_segments = store.segments_.size();
 
-  // Translate every v2 segment's location dictionary into this store's
-  // table once, up front. Row materialization then resolves where_id with
-  // one indexed load instead of hashing the Location per row.
+  // Translate every segment's location dictionary into this store's table
+  // once, up front. Row materialization then resolves where_id with one
+  // indexed load instead of hashing the Location per row.
   std::unordered_map<const SegmentReader*, const core::LocId*> loc_map_of;
-  store.v2_loc_maps_.reserve(store.stats_.v2_segments);
+  store.v2_loc_maps_.reserve(store.segments_.size());
   for (const auto& seg : store.segments_) {
-    if (seg->format_version() != kFormatV2) continue;
     const V2Footer& footer = seg->v2_footer();
     std::vector<core::LocId> map;
     map.reserve(footer.locations.size());
@@ -104,19 +77,10 @@ PersistentEventStore PersistentEventStore::open(
   }
 
   // Per-name contributions, in segment-sequence order. std::map keeps
-  // names_ sorted for free. A run reference is format-tagged: exactly one
-  // of v1/v2 is set.
+  // names_ sorted for free.
   struct RunRef {
     const SegmentReader* seg = nullptr;
-    const NameRun* v1 = nullptr;
-    const V2Run* v2 = nullptr;
-
-    std::uint64_t count() const noexcept {
-      return v2 ? v2->count : v1->count;
-    }
-    util::TimeSec max_duration() const noexcept {
-      return v2 ? v2->max_duration : v1->max_duration;
-    }
+    const V2Run* run = nullptr;
   };
   struct Contribution {
     std::vector<RunRef> runs;
@@ -124,16 +88,10 @@ PersistentEventStore PersistentEventStore::open(
   };
   std::map<std::string, Contribution> by_name;
   for (const auto& seg : store.segments_) {
-    if (seg->format_version() == kFormatV2) {
-      const V2Footer& footer = seg->v2_footer();
-      for (const V2Run& run : footer.runs) {
-        by_name[footer.names[run.name_id]].runs.push_back(
-            RunRef{seg.get(), nullptr, &run});
-      }
-    } else {
-      for (const NameRun& run : seg->footer().runs) {
-        by_name[run.name].runs.push_back(RunRef{seg.get(), &run, nullptr});
-      }
+    const V2Footer& footer = seg->v2_footer();
+    for (const V2Run& run : footer.runs) {
+      by_name[footer.names[run.name_id]].runs.push_back(
+          RunRef{seg.get(), &run});
     }
   }
   for (core::EventInstance& e : wal_events) {
@@ -142,33 +100,17 @@ PersistentEventStore PersistentEventStore::open(
 
   for (auto& [name, contrib] : by_name) {
     Bucket bucket;
-    for (const RunRef& run : contrib.runs) {
-      bucket.max_duration = std::max(bucket.max_duration,
-                                     run.max_duration());
-      store.total_ += run.count();
+    for (const RunRef& ref : contrib.runs) {
+      bucket.max_duration =
+          std::max(bucket.max_duration, ref.run->max_duration);
+      store.total_ += ref.run->count;
     }
     store.total_ += contrib.wal_tail.size();
-    if (contrib.runs.size() == 1 && contrib.wal_tail.empty() &&
-        contrib.runs[0].v1) {
-      // Single sealed v1 run: serve it lazily straight off the mapping.
-      auto lazy = std::make_unique<LazyRun>();
-      lazy->seg = contrib.runs[0].seg;
-      lazy->run = contrib.runs[0].v1;
-      lazy->block_count = lazy->run->blocks.size();
-      lazy->slots =
-          std::make_unique<core::EventInstance[]>(lazy->slot_count());
-      lazy->block_ready =
-          std::make_unique<std::atomic<bool>[]>(lazy->block_count);
-      for (std::size_t b = 0; b < lazy->block_count; ++b) {
-        lazy->block_ready[b].store(false, std::memory_order_relaxed);
-      }
-      bucket.lazy = lazy.get();
-      store.lazy_runs_.push_back(std::move(lazy));
-    } else if (contrib.runs.size() == 1 && contrib.wal_tail.empty()) {
-      // Single sealed v2 run: two-tier lazy columnar reader.
+    if (contrib.runs.size() == 1 && contrib.wal_tail.empty()) {
+      // Single sealed run: two-tier lazy columnar reader.
       auto lazy = std::make_unique<LazyV2Run>();
       lazy->seg = contrib.runs[0].seg;
-      lazy->run = contrib.runs[0].v2;
+      lazy->run = contrib.runs[0].run;
       lazy->loc_map = loc_map_of.at(lazy->seg);
       lazy->block_count = lazy->run->blocks.size();
       lazy->starts = std::make_unique<util::TimeSec[]>(lazy->slot_count());
@@ -185,26 +127,19 @@ PersistentEventStore PersistentEventStore::open(
       for (std::size_t r = 0; r < lazy->slot_count(); ++r) {
         lazy->row_ready[r].store(false, std::memory_order_relaxed);
       }
-      bucket.lazy2 = lazy.get();
+      bucket.lazy = lazy.get();
       store.lazy_v2_runs_.push_back(std::move(lazy));
     } else {
       // Merged bucket: decode everything now, concatenated in sequence
       // order with the WAL tail last, then stable-sort by start — the
       // in-memory store's exact bucket order (ties keep append order).
-      for (const RunRef& run : contrib.runs) {
-        if (run.v2) {
-          decode_v2_rows(run.seg->bytes(), run.seg->v2_footer(), *run.v2, 0,
-                         run.v2->count,
-                         [&](std::uint64_t, core::EventInstance e,
-                             core::LocId) {
-                           bucket.merged.push_back(std::move(e));
-                         });
-        } else {
-          decode_run_frames(*run.seg, run.v1->first_offset, run.v1->count,
-                            [&](core::EventInstance e) {
-                              bucket.merged.push_back(std::move(e));
-                            });
-        }
+      for (const RunRef& ref : contrib.runs) {
+        decode_v2_rows(ref.seg->bytes(), ref.seg->v2_footer(), *ref.run, 0,
+                       ref.run->count,
+                       [&](std::uint64_t, core::EventInstance e,
+                           core::LocId) {
+                         bucket.merged.push_back(std::move(e));
+                       });
       }
       for (core::EventInstance& e : contrib.wal_tail) {
         bucket.max_duration =
@@ -241,64 +176,6 @@ PersistentEventStore PersistentEventStore::open(
     }
   }
   return store;
-}
-
-void PersistentEventStore::ensure_blocks(const LazyRun& lazy,
-                                         std::size_t first_block,
-                                         std::size_t last_block) const {
-  // Fast path: every touched block already materialized (acquire pairs
-  // with the release below, so the slots it guards are visible).
-  bool all_ready = true;
-  for (std::size_t b = first_block; b < last_block; ++b) {
-    if (!lazy.block_ready[b].load(std::memory_order_acquire)) {
-      all_ready = false;
-      break;
-    }
-  }
-  if (all_ready) return;
-
-  LazyRun& mut = const_cast<LazyRun&>(lazy);
-  std::lock_guard<std::mutex> lock(mut.decode_mutex);
-  for (std::size_t b = first_block; b < last_block; ++b) {
-    if (lazy.block_ready[b].load(std::memory_order_relaxed)) continue;
-    std::size_t slot = b * lazy.run->block_frames;
-    std::uint64_t frames =
-        std::min<std::uint64_t>(lazy.run->block_frames,
-                                lazy.run->count - slot);
-    decode_run_frames(*lazy.seg, lazy.run->blocks[b].offset, frames,
-                      [&](core::EventInstance e) {
-                        e.where_id = locations_->intern(e.where);
-                        mut.slots[slot++] = std::move(e);
-                      });
-    mut.block_ready[b].store(true, std::memory_order_release);
-  }
-}
-
-std::pair<std::size_t, std::size_t> PersistentEventStore::candidate_slots(
-    const LazyRun& lazy, util::TimeSec lo, util::TimeSec to) const {
-  const std::vector<BlockEntry>& blocks = lazy.run->blocks;
-  auto start_less = [](const BlockEntry& b, util::TimeSec v) {
-    return b.first_start < v;
-  };
-  auto start_greater = [](util::TimeSec v, const BlockEntry& b) {
-    return v < b.first_start;
-  };
-  // The block holding the first start >= lo may begin before lo, so step
-  // one block back from the partition point.
-  std::size_t b0 = static_cast<std::size_t>(
-      std::lower_bound(blocks.begin(), blocks.end(), lo, start_less) -
-      blocks.begin());
-  if (b0 > 0) --b0;
-  // Blocks whose first start already exceeds `to` cannot contribute.
-  std::size_t b1 = static_cast<std::size_t>(
-      std::upper_bound(blocks.begin(), blocks.end(), to, start_greater) -
-      blocks.begin());
-  if (b1 <= b0) return {0, 0};
-  ensure_blocks(lazy, b0, b1);
-  std::size_t first = b0 * lazy.run->block_frames;
-  std::size_t last = std::min<std::size_t>(lazy.slot_count(),
-                                           b1 * lazy.run->block_frames);
-  return {first, last};
 }
 
 void PersistentEventStore::ensure_v2_timestamps(
@@ -383,8 +260,8 @@ std::size_t PersistentEventStore::query_into(
   // max_duration bounds the backward scan exactly as in EventStore.
   util::TimeSec lo = from - bucket.max_duration;
 
-  if (bucket.lazy2) {
-    const LazyV2Run& lazy = *bucket.lazy2;
+  if (bucket.lazy) {
+    const LazyV2Run& lazy = *bucket.lazy;
     const std::vector<V2Block>& blocks = lazy.run->blocks;
     // Zone-map pruning: both min_start and max_start are non-decreasing
     // across blocks (enforced at footer decode), so the surviving range is
@@ -436,29 +313,21 @@ std::size_t PersistentEventStore::query_into(
     return out.size();
   }
 
-  const core::EventInstance* base = nullptr;
-  std::size_t first = 0;
-  std::size_t last = 0;
-  if (bucket.lazy) {
-    std::tie(first, last) = candidate_slots(*bucket.lazy, lo, to);
-    base = bucket.lazy->slots.get();
-  } else {
-    base = bucket.merged.data();
-    last = bucket.merged.size();
-  }
-  auto begin = base + first;
-  auto end = base + last;
+  // Eager merge: binary-search the sorted bucket.
+  const std::vector<core::EventInstance>& merged = bucket.merged;
   auto lo_it = std::lower_bound(
-      begin, end, lo, [](const core::EventInstance& e, util::TimeSec v) {
+      merged.begin(), merged.end(), lo,
+      [](const core::EventInstance& e, util::TimeSec v) {
         return e.when.start < v;
       });
   auto hi_it = std::upper_bound(
-      lo_it, end, to, [](util::TimeSec v, const core::EventInstance& e) {
+      lo_it, merged.end(), to,
+      [](util::TimeSec v, const core::EventInstance& e) {
         return v < e.when.start;
       });
   out.reserve(static_cast<std::size_t>(hi_it - lo_it));
   for (auto i = lo_it; i != hi_it; ++i) {
-    if (i->when.end >= from) out.push_back(i);
+    if (i->when.end >= from) out.push_back(&*i);
   }
   return out.size();
 }
@@ -468,12 +337,8 @@ std::span<const core::EventInstance> PersistentEventStore::all(
   auto it = buckets_.find(name);
   if (it == buckets_.end()) return {};
   const Bucket& bucket = it->second;
-  if (bucket.lazy2) {
-    ensure_v2_rows(*bucket.lazy2, 0, bucket.lazy2->slot_count());
-    return {bucket.lazy2->slots.get(), bucket.lazy2->slot_count()};
-  }
   if (!bucket.lazy) return bucket.merged;
-  ensure_blocks(*bucket.lazy, 0, bucket.lazy->block_count);
+  ensure_v2_rows(*bucket.lazy, 0, bucket.lazy->slot_count());
   return {bucket.lazy->slots.get(), bucket.lazy->slot_count()};
 }
 

@@ -8,32 +8,21 @@
 // open() maps every segment (sealed segments plus the WAL's valid frame
 // prefix — a torn tail is skipped and counted, never modified: the reader
 // is strictly read-only) and builds the per-name index from segment
-// footers alone; no frame is deserialized yet. Queries then decode lazily:
+// footers alone; no row is deserialized yet. Queries then decode lazily:
 //
-//  - A name stored wholly in one sealed v1 run keeps its frames mapped and
-//    materializes them block by block (kIndexBlockFrames frames per
-//    block). A (name x window) query binary-searches the footer's sparse
-//    checkpoint array to find the touched blocks, decodes only those, and
-//    binary-searches the materialized slots — cold-open query cost is
-//    proportional to the answer, not the corpus.
-//  - A name stored wholly in one sealed v2 (columnar) run goes through two
-//    tiers. Tier 1: the query binary-searches the footer's zone maps
-//    (min/max start per block) — blocks whose start range misses the
-//    window are skipped without touching their bytes — and delta-decodes
-//    just the timestamp columns of the surviving blocks into contiguous
-//    start/end arrays it then scans allocation-free. Tier 2: only the rows
-//    the timestamp scan selects AND whose end can still overlap the window
-//    are materialized (name, location, attrs), row by row; everything else
-//    just advances the column cursors. Narrow windows therefore pay two
-//    integer varint walks plus a handful of row materializations where v1
-//    pays a full frame decode (strings, attr maps, CRCs) for every
-//    candidate block.
+//  - A name stored wholly in one sealed run goes through two tiers.
+//    Tier 1: the query binary-searches the footer's zone maps (min/max
+//    start per block) — blocks whose start range misses the window are
+//    skipped without touching their bytes — and delta-decodes just the
+//    timestamp columns of the surviving blocks into contiguous start/end
+//    arrays it then scans allocation-free. Tier 2: only the rows the
+//    timestamp scan selects AND whose end can still overlap the window are
+//    materialized (name, location, attrs), row by row; everything else
+//    just advances the column cursors.
 //  - A name spread over several segments (or with WAL-tail frames) is
 //    merged eagerly at open: rows concatenated in segment-sequence order
 //    and stable-sorted by start, which is exactly the in-memory store's
 //    bucket order — the basis of the byte-identical-verdicts guarantee.
-//    v1 and v2 segments mix freely here; row order within a segment is
-//    format-independent.
 //
 // Threading: the view is frozen from construction. Lazy materialization is
 // internally synchronized (per-bucket mutex + per-block ready flags with
@@ -62,7 +51,6 @@ class PersistentEventStore final : public core::EventStoreView {
   /// What open() found — surfaced by `grca store inspect` and the tests.
   struct OpenStats {
     std::size_t sealed_segments = 0;
-    std::size_t v2_segments = 0;         // columnar subset of the above
     bool wal_present = false;
     std::uint64_t wal_events = 0;        // valid WAL frames adopted
     std::uint64_t recovered_bytes = 0;   // WAL frame bytes adopted
@@ -110,27 +98,13 @@ class PersistentEventStore final : public core::EventStoreView {
   };
   const QueryStats& query_stats() const noexcept { return *query_stats_; }
 
-  /// Disables zone-map block skipping (every v2 query scans the whole
+  /// Disables zone-map block skipping (every query scans the whole
   /// run's timestamps). Results must be identical either way — this exists
   /// so tests can prove it.
   void set_zone_pruning(bool on) noexcept { zone_pruning_ = on; }
 
  private:
-  /// One sealed name-run materialized lazily from its mapped frames.
-  struct LazyRun {
-    const SegmentReader* seg = nullptr;
-    const NameRun* run = nullptr;
-    std::unique_ptr<core::EventInstance[]> slots;     // run->count entries
-    std::unique_ptr<std::atomic<bool>[]> block_ready;  // per index block
-    std::mutex decode_mutex;
-    std::size_t block_count = 0;
-
-    std::size_t slot_count() const noexcept {
-      return static_cast<std::size_t>(run->count);
-    }
-  };
-
-  /// One sealed v2 name-run, served in two lazy tiers straight off the
+  /// One sealed name-run, served in two lazy tiers straight off the
   /// mapped columns (see the file comment).
   struct LazyV2Run {
     const SegmentReader* seg = nullptr;
@@ -158,23 +132,11 @@ class PersistentEventStore final : public core::EventStoreView {
 
   struct Bucket {
     util::TimeSec max_duration = 0;
-    LazyRun* lazy = nullptr;                   // single v1 run, or
-    LazyV2Run* lazy2 = nullptr;                // single v2 run, or
+    LazyV2Run* lazy = nullptr;                 // single sealed run, or
     std::vector<core::EventInstance> merged;   // eager multi-source merge
   };
 
   PersistentEventStore() = default;
-
-  /// Materializes blocks [first_block, last_block) of `lazy`, interning
-  /// locations as frames decode. Thread-safe.
-  void ensure_blocks(const LazyRun& lazy, std::size_t first_block,
-                     std::size_t last_block) const;
-
-  /// Candidate slot range for a window query: decodes just the blocks the
-  /// footer checkpoints say can hold starts in [lo, to] and returns their
-  /// slot span [first, last).
-  std::pair<std::size_t, std::size_t> candidate_slots(
-      const LazyRun& lazy, util::TimeSec lo, util::TimeSec to) const;
 
   /// Tier 1: timestamp arrays ready for blocks [first_block, last_block).
   void ensure_v2_timestamps(const LazyV2Run& lazy, std::size_t first_block,
@@ -190,14 +152,13 @@ class PersistentEventStore final : public core::EventStoreView {
           std::numeric_limits<util::TimeSec>::min()) const;
 
   std::filesystem::path dir_;
-  // deques/unique_ptrs keep addresses stable under the map's growth and
-  // the store's moves; LazyRun pins a mutex so it lives behind unique_ptr.
+  // unique_ptrs keep addresses stable under the map's growth and the
+  // store's moves; LazyV2Run pins a mutex so it lives behind unique_ptr.
   std::vector<std::unique_ptr<SegmentReader>> segments_;
-  // Per-v2-segment dictionary translation (dict id -> interned LocId);
+  // Per-segment dictionary translation (dict id -> interned LocId);
   // inner buffers are stable under outer growth and store moves, so
   // LazyV2Run::loc_map can point straight at them.
   std::vector<std::vector<core::LocId>> v2_loc_maps_;
-  std::vector<std::unique_ptr<LazyRun>> lazy_runs_;
   std::vector<std::unique_ptr<LazyV2Run>> lazy_v2_runs_;
   std::unordered_map<std::string, Bucket> buckets_;
   std::vector<std::string> names_;  // sorted

@@ -3,139 +3,24 @@
 
 #include "storage/segment.h"
 
-#include <algorithm>
-
 #include "storage/codec.h"
 #include "storage/crc32c.h"
 #include "util/error.h"
 
 namespace grca::storage {
 
-SealFormat parse_seal_format(std::string_view text) {
-  if (text == "v1" || text == "1") return SealFormat::kV1;
-  if (text == "v2" || text == "2") return SealFormat::kV2;
-  throw StorageError("storage: unknown seal format '" + std::string(text) +
-                     "' (expected v1 or v2)");
-}
-
 std::vector<std::uint8_t> encode_segment_header(std::uint64_t seq,
-                                                SegmentKind kind,
-                                                std::uint16_t format_version) {
-  if (format_version == kFormatV2 && kind != SegmentKind::kSealed) {
-    throw StorageError("storage: v2 segments are sealed-only");
-  }
+                                                SegmentKind kind) {
+  std::uint16_t version =
+      kind == SegmentKind::kSealed ? kFormatV2 : kFormatV1;
   std::vector<std::uint8_t> out;
   out.reserve(kSegmentHeaderBytes);
   put_u32(out, kSegmentMagic);
-  put_u32(out, static_cast<std::uint32_t>(format_version) |
+  put_u32(out, static_cast<std::uint32_t>(version) |
                    static_cast<std::uint32_t>(kind) << 16);
   put_u64(out, seq);
   put_u32(out, 0);  // reserved
   put_u32(out, crc32c(out.data(), out.size()));
-  return out;
-}
-
-namespace {
-
-/// Serializes the footer payload (everything the trailer checksums).
-std::vector<std::uint8_t> encode_footer(const SegmentFooter& footer) {
-  std::vector<std::uint8_t> out;
-  put_i64(out, footer.watermark);
-  put_u64(out, footer.event_count);
-  put_u32(out, static_cast<std::uint32_t>(footer.runs.size()));
-  for (const NameRun& run : footer.runs) {
-    put_string(out, run.name);
-    put_u64(out, run.first_offset);
-    put_u64(out, run.byte_len);
-    put_u64(out, run.count);
-    put_i64(out, run.max_duration);
-    put_u32(out, run.block_frames);
-    put_u32(out, static_cast<std::uint32_t>(run.blocks.size()));
-    for (const BlockEntry& b : run.blocks) {
-      put_i64(out, b.first_start);
-      put_u64(out, b.offset);
-    }
-  }
-  return out;
-}
-
-SegmentFooter decode_footer(std::span<const std::uint8_t> payload) {
-  ByteReader in(payload);
-  SegmentFooter footer;
-  footer.watermark = in.i64();
-  footer.event_count = in.u64();
-  std::uint32_t names = in.u32();
-  footer.runs.reserve(names);
-  for (std::uint32_t i = 0; i < names; ++i) {
-    NameRun run;
-    run.name = in.string();
-    run.first_offset = in.u64();
-    run.byte_len = in.u64();
-    run.count = in.u64();
-    run.max_duration = in.i64();
-    run.block_frames = in.u32();
-    if (run.block_frames == 0) {
-      throw StorageError("storage: footer run '" + run.name +
-                         "' has zero block size");
-    }
-    std::uint32_t blocks = in.u32();
-    run.blocks.reserve(blocks);
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      BlockEntry e;
-      e.first_start = in.i64();
-      e.offset = in.u64();
-      run.blocks.push_back(e);
-    }
-    std::uint64_t expect_blocks =
-        (run.count + run.block_frames - 1) / run.block_frames;
-    if (blocks != expect_blocks) {
-      throw StorageError("storage: footer run '" + run.name + "' has " +
-                         std::to_string(blocks) + " index blocks, expected " +
-                         std::to_string(expect_blocks));
-    }
-    footer.runs.push_back(std::move(run));
-  }
-  if (in.remaining() != 0) {
-    throw StorageError("storage: trailing bytes after segment footer");
-  }
-  return footer;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> encode_sealed_segment(
-    std::uint64_t seq, util::TimeSec watermark,
-    const std::vector<
-        std::pair<std::string, std::vector<const core::EventInstance*>>>&
-        groups) {
-  std::vector<std::uint8_t> out = encode_segment_header(seq,
-                                                        SegmentKind::kSealed);
-  SegmentFooter footer;
-  footer.watermark = watermark;
-  for (const auto& [name, events] : groups) {
-    if (events.empty()) continue;
-    NameRun run;
-    run.name = name;
-    run.first_offset = out.size();
-    run.count = events.size();
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const core::EventInstance& e = *events[i];
-      if (i % kIndexBlockFrames == 0) {
-        run.blocks.push_back(BlockEntry{e.when.start, out.size()});
-      }
-      run.max_duration = std::max(run.max_duration, e.when.duration());
-      encode_frame(e, out);
-    }
-    run.byte_len = out.size() - run.first_offset;
-    footer.event_count += run.count;
-    footer.runs.push_back(std::move(run));
-  }
-  std::vector<std::uint8_t> payload = encode_footer(footer);
-  std::uint32_t crc = crc32c(payload.data(), payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u64(out, payload.size());
-  put_u32(out, crc);
-  put_u32(out, kFooterMagic);
   return out;
 }
 
@@ -160,132 +45,87 @@ SegmentReader SegmentReader::open(const std::filesystem::path& path) {
   }
   std::uint32_t ver_kind = in.u32();
   std::uint16_t version = static_cast<std::uint16_t>(ver_kind);
-  if (version != kFormatV1 && version != kFormatV2) {
-    throw StorageError("storage: " + path.string() + " is format v" +
+  const bool sealed =
+      static_cast<SegmentKind>(ver_kind >> 16) == SegmentKind::kSealed;
+  if (version != (sealed ? kFormatV2 : kFormatV1)) {
+    throw StorageError("storage: " + path.string() + " is a v" +
                        std::to_string(version) +
-                       "; this build reads v1 and v2");
-  }
-  seg.version_ = version;
-  seg.kind_ = static_cast<SegmentKind>(ver_kind >> 16);
-  if (version == kFormatV2 && seg.kind_ != SegmentKind::kSealed) {
-    throw StorageError("storage: " + path.string() +
-                       " claims a v2 live segment; v2 is sealed-only");
+                       (sealed ? " sealed" : " live") +
+                       " segment; this build reads v1 live and v2 sealed "
+                       "segments");
   }
   seg.seq_ = in.u64();
-  seg.frames_end_ = bytes.size();
+  if (!sealed) return seg;
 
-  // Sealed detection: a valid trailer at EOF whose footer checksums clean.
-  if (bytes.size() >= kSegmentHeaderBytes + kFooterTrailerBytes) {
-    std::span<const std::uint8_t> trailer =
-        bytes.last(kFooterTrailerBytes);
-    ByteReader tr(trailer);
-    std::uint64_t footer_len = tr.u64();
-    std::uint32_t footer_crc = tr.u32();
-    std::uint32_t magic = tr.u32();
-    if (magic == kFooterMagic &&
-        footer_len <= bytes.size() - kSegmentHeaderBytes -
-                          kFooterTrailerBytes) {
-      std::size_t footer_at =
-          bytes.size() - kFooterTrailerBytes - footer_len;
-      std::span<const std::uint8_t> payload =
-          bytes.subspan(footer_at, footer_len);
-      if (crc32c(payload.data(), payload.size()) == footer_crc) {
-        if (version == kFormatV2) {
-          seg.v2_footer_ = decode_v2_footer(payload);
-          // The run regions must tile the file exactly between the header
-          // and the footer — together with the per-region CRCs this leaves
-          // no unchecksummed byte in the file.
-          std::uint64_t at = kSegmentHeaderBytes;
-          for (const V2Run& run : seg.v2_footer_.runs) {
-            if (run.region_off != at) {
-              throw StorageError("storage: " + path.string() +
-                                 " v2 run regions do not tile the segment");
-            }
-            at += run.region_len();
-          }
-          if (at != footer_at) {
-            throw StorageError("storage: " + path.string() +
-                               " v2 run regions do not tile the segment");
-          }
-        } else {
-          seg.footer_ = decode_footer(payload);
-        }
-        seg.sealed_ = true;
-        seg.frames_end_ = footer_at;
-      }
-    }
+  // A sealed segment must end in a valid trailer whose footer checksums
+  // clean: the column regions are not self-describing.
+  seg.sealed_ = true;
+  auto damaged = [&path] {
+    return StorageError("storage: " + path.string() +
+                        " v2 segment footer is damaged or missing");
+  };
+  if (bytes.size() < kSegmentHeaderBytes + kFooterTrailerBytes) {
+    throw damaged();
   }
-  if (version == kFormatV2 && !seg.sealed_) {
-    // A v2 file without a validating footer is unreadable: the column
-    // regions are not self-describing the way v1 frames are.
-    throw StorageError("storage: " + path.string() +
-                       " v2 segment footer is damaged or missing");
+  ByteReader tr(bytes.last(kFooterTrailerBytes));
+  std::uint64_t footer_len = tr.u64();
+  std::uint32_t footer_crc = tr.u32();
+  std::uint32_t magic = tr.u32();
+  if (magic != kFooterMagic ||
+      footer_len > bytes.size() - kSegmentHeaderBytes - kFooterTrailerBytes) {
+    throw damaged();
   }
+  std::size_t footer_at = bytes.size() - kFooterTrailerBytes - footer_len;
+  std::span<const std::uint8_t> payload = bytes.subspan(footer_at, footer_len);
+  if (crc32c(payload.data(), payload.size()) != footer_crc) throw damaged();
+  seg.v2_footer_ = decode_v2_footer(payload);
+  // The run regions must tile the file exactly between the header and the
+  // footer — together with the per-region CRCs this leaves no
+  // unchecksummed byte in the file.
+  auto untiled = [&path] {
+    return StorageError("storage: " + path.string() +
+                        " v2 run regions do not tile the segment");
+  };
+  std::uint64_t at = kSegmentHeaderBytes;
+  for (const V2Run& run : seg.v2_footer_.runs) {
+    if (run.region_off != at) throw untiled();
+    at += run.region_len();
+  }
+  if (at != footer_at) throw untiled();
   return seg;
 }
 
-const SegmentFooter& SegmentReader::footer() const {
-  if (!sealed_ || version_ != kFormatV1) {
-    throw StorageError("storage: " + path_.string() +
-                       " has no v1 footer");
-  }
-  return footer_;
-}
-
 const V2Footer& SegmentReader::v2_footer() const {
-  if (!sealed_ || version_ != kFormatV2) {
+  if (!sealed_) {
     throw StorageError("storage: " + path_.string() +
-                       " has no v2 footer");
+                       " is live; it has no sealed footer");
   }
   return v2_footer_;
 }
 
-util::TimeSec SegmentReader::sealed_watermark() const {
-  return version_ == kFormatV2 ? v2_footer().watermark : footer().watermark;
-}
-
-std::uint64_t SegmentReader::sealed_event_count() const {
-  return version_ == kFormatV2 ? v2_footer().event_count
-                               : footer().event_count;
-}
-
 std::vector<core::EventInstance> SegmentReader::read_all_events() const {
-  if (!sealed_) {
-    throw StorageError("storage: " + path_.string() +
-                       " is not sealed; cannot bulk-read");
-  }
   std::vector<core::EventInstance> events;
-  if (version_ == kFormatV2) {
-    events.reserve(v2_footer_.event_count);
-    for (const V2Run& run : v2_footer_.runs) {
-      decode_v2_rows(file_.bytes(), v2_footer_, run, 0, run.count,
-                     [&events](std::uint64_t, core::EventInstance e,
-                               core::LocId) {
-                       events.push_back(std::move(e));
-                     });
-    }
-    return events;
+  events.reserve(v2_footer().event_count);
+  for (const V2Run& run : v2_footer_.runs) {
+    decode_v2_rows(file_.bytes(), v2_footer_, run, 0, run.count,
+                   [&events](std::uint64_t, core::EventInstance e,
+                             core::LocId) {
+                     events.push_back(std::move(e));
+                   });
   }
-  Scan scan = scan_frames();
-  if (scan.dropped_bytes != 0) {
-    throw StorageError("storage: " + path_.string() + " has " +
-                       std::to_string(scan.dropped_bytes) +
-                       " undecodable bytes inside its sealed frame region");
-  }
-  return std::move(scan.events);
+  return events;
 }
 
 SegmentReader::Scan SegmentReader::scan_frames() const {
-  if (version_ != kFormatV1) {
+  if (sealed_) {
     throw StorageError("storage: " + path_.string() +
                        " is columnar; it has no frames to scan");
   }
   Scan scan;
   std::span<const std::uint8_t> bytes = file_.bytes();
   std::uint64_t at = kSegmentHeaderBytes;
-  while (at < frames_end_) {
-    std::optional<FrameView> frame =
-        probe_frame(bytes.subspan(at, frames_end_ - at));
+  while (at < bytes.size()) {
+    std::optional<FrameView> frame = probe_frame(bytes.subspan(at));
     if (!frame) break;
     core::EventInstance e;
     try {
@@ -299,7 +139,7 @@ SegmentReader::Scan SegmentReader::scan_frames() const {
     at += frame->frame_bytes;
   }
   scan.valid_bytes = at;
-  scan.dropped_bytes = frames_end_ - at;
+  scan.dropped_bytes = bytes.size() - at;
   return scan;
 }
 

@@ -87,7 +87,7 @@
 //              [--once] [--public] [--follow] [--rate N[x]|max] [--tick SEC]
 //              [--idle-ticks N] [--alert-rules FILE] [--workers N]
 //              [--persist DIR] [--persist-seal-every SEC]
-//              [--persist-format v1|v2] [--days N] [--symptoms N] [--seed S]
+//              [--days N] [--symptoms N] [--seed S]
 //       Run a diagnosis and serve it over HTTP: GET /metrics (Prometheus
 //       scrape), /api/breakdown, /api/trending, /api/drilldown/{cause},
 //       /api/health, /api/alerts, /healthz. Default (batch) mode runs the
@@ -106,16 +106,15 @@
 //
 //   grca store inspect|verify|compact --dir DIR
 //       Operate on a persisted event log. `inspect` prints per-segment
-//       summaries (sequence, format, events, names, watermark, bytes; for
-//       columnar v2 segments also dictionary and zone-map sizes plus
-//       per-name run summaries: rows, blocks, start range, column-region
-//       bytes). `verify` runs the full integrity sweep — header/footer/
-//       frame CRCs, v2 column-region CRCs, full structural decode — and
-//       exits nonzero on any corruption; `--deep` additionally recomputes
-//       footer statistics (max durations, v2 zone maps) from a full
-//       rescan. `compact` folds every sealed segment plus the WAL's valid
-//       prefix into one segment (query results unchanged; `--format v1|v2`
-//       picks the output format, default v2 — the v1 -> v2 upgrade path).
+//       summaries (sequence, events, names, watermark, bytes; for sealed
+//       segments also dictionary and zone-map sizes plus per-name run
+//       summaries: rows, blocks, start range, column-region bytes).
+//       `verify` runs the full integrity sweep — header/footer/WAL-frame
+//       CRCs, column-region CRCs, full structural decode — and exits
+//       nonzero on any corruption; `--deep` additionally recomputes footer
+//       statistics (max durations, zone maps) from a full rescan. `compact`
+//       folds every sealed segment plus the WAL's valid prefix into one
+//       segment (query results unchanged).
 //
 //   grca spans --in FILE [--out FILE]
 //       Convert a span JSONL log (from --span-log) into a Chrome trace
@@ -195,7 +194,6 @@ namespace {
   grca dump-library
   grca simulate --study bgp|cdn|pim|innet --out DIR [--days N] [--symptoms N]
                 [--seed S] [--paper-scale] [--store-out DIR]
-                [--store-format v1|v2]
   grca diagnose --study bgp|cdn|pim|innet --data DIR [--dsl FILE]...
                 [--threads N] [--trend] [--score] [--drill CAUSE]
                 [--metrics-out FILE] [--store DIR] [--span-log FILE]
@@ -216,16 +214,16 @@ namespace {
               [--source-lag SEC] [--jitter SEC] [--seed S] [--days N]
               [--symptoms N] [--report-out FILE] [--metrics-out FILE]
               [--min-rate RECORDS_PER_MIN] [--no-truth] [--persist DIR]
-              [--persist-seal-every SEC] [--persist-format v1|v2]
+              [--persist-seal-every SEC]
   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
              [--port-file FILE] [--http-threads N] [--api-dump DIR] [--once]
              [--public] [--follow] [--rate N[x]|max] [--tick SEC]
              [--idle-ticks N] [--alert-rules FILE] [--workers N]
              [--persist DIR] [--persist-seal-every SEC]
-             [--persist-format v1|v2] [--days N] [--symptoms N] [--seed S]
+             [--days N] [--symptoms N] [--seed S]
   grca store inspect --dir DIR
   grca store verify --dir DIR [--deep]
-  grca store compact --dir DIR [--format v1|v2]
+  grca store compact --dir DIR
   grca spans --in FILE [--out FILE]
   grca benchmark [--topology FILE]... [--topo-dir DIR] [--scenarios LIST]
                  [--days N] [--symptoms N] [--seed S] [--threads N]
@@ -421,9 +419,7 @@ int cmd_simulate(const Args& args) {
         watermark = std::max(watermark, e.when.start + 1);
       }
     }
-    storage::SealFormat format =
-        storage::parse_seal_format(args.get("store-format", "v2"));
-    storage::write_sealed_store(store_dir, store, watermark, format);
+    storage::write_sealed_store(store_dir, store, watermark);
     std::cout << "persisted " << store.total_instances() << " events ("
               << store.event_names().size() << " names) to "
               << store_dir.string() << "\n";
@@ -636,8 +632,6 @@ int cmd_replay(const Args& args) {
     opt.stream.persist_dir = fs::path(it->second.back());
     opt.stream.persist_seal_every =
         args.get_long("persist-seal-every", util::kHour);
-    opt.stream.persist_format =
-        storage::parse_seal_format(args.get("persist-format", "v2"));
   }
 
   apps::FeedReplayer replayer(corpus->network, opt);
@@ -793,8 +787,6 @@ int cmd_serve(const Args& args) {
     sopt.persist_dir = fs::path(it->second.back());
     sopt.persist_seal_every =
         args.get_long("persist-seal-every", util::kHour);
-    sopt.persist_format =
-        storage::parse_seal_format(args.get("persist-format", "v2"));
   }
   apps::StreamingRca stream(corpus->network, std::move(graph), sopt);
 
@@ -905,9 +897,8 @@ int cmd_store(const std::string& action, const Args& args) {
   if (action == "verify") {
     bool deep = args.flags.count("deep") > 0;
     storage::VerifyReport report = storage::verify_store(dir, deep);
-    std::cout << "verified " << report.segments << " segment file(s) ("
-              << report.v2_segments << " columnar), " << report.frames
-              << " row(s), " << report.bytes << " byte(s)"
+    std::cout << "verified " << report.segments << " segment file(s), "
+              << report.frames << " row(s), " << report.bytes << " byte(s)"
               << (deep ? ", deep stats rescan" : "") << "\n";
     if (report.torn_wal_bytes > 0) {
       std::cout << "torn WAL tail: " << report.torn_wal_bytes
@@ -924,16 +915,13 @@ int cmd_store(const std::string& action, const Args& args) {
     return 0;
   }
   if (action == "compact") {
-    storage::SealFormat format =
-        storage::parse_seal_format(args.get("format", "v2"));
-    std::optional<std::uint64_t> seq = storage::compact_store(dir, format);
+    std::optional<std::uint64_t> seq = storage::compact_store(dir);
     if (!seq) {
       std::cout << "nothing to compact in " << dir.string() << "\n";
       return 0;
     }
     std::cout << "compacted " << dir.string() << " into segment " << *seq
-              << " (" << (format == storage::SealFormat::kV2 ? "v2" : "v1")
-              << ")\n";
+              << "\n";
     return 0;
   }
   if (action == "inspect") {
@@ -950,7 +938,7 @@ int cmd_store(const std::string& action, const Args& args) {
       std::cout << path.filename().string() << ": seq " << seg.seq() << ", "
                 << seg.size() << " bytes, "
                 << (seg.mapped() ? "mapped" : "heap") << ", ";
-      if (seg.sealed() && seg.format_version() == storage::kFormatV2) {
+      if (seg.sealed()) {
         const storage::V2Footer& footer = seg.v2_footer();
         total_events += footer.event_count;
         std::size_t zone_maps = 0;
@@ -978,12 +966,6 @@ int cmd_store(const std::string& action, const Args& args) {
                     << ", durations " << run.durs_len << ", locations "
                     << run.locs_len << ", attrs " << run.attrs_len << ")\n";
         }
-      } else if (seg.sealed()) {
-        const storage::SegmentFooter& footer = seg.footer();
-        total_events += footer.event_count;
-        std::cout << "sealed v1: " << footer.event_count << " events across "
-                  << footer.runs.size() << " names, watermark "
-                  << footer.watermark << "\n";
       } else {
         storage::SegmentReader::Scan scan = seg.scan_frames();
         total_events += scan.events.size();
@@ -1309,8 +1291,7 @@ int main(int argc, char** argv) {
     if (command == "simulate") {
       return cmd_simulate(Args::parse(
           argc, argv, 2,
-          {"study", "out", "days", "symptoms", "seed", "store-out",
-           "store-format"},
+          {"study", "out", "days", "symptoms", "seed", "store-out"},
           {"paper-scale"}));
     }
     if (command == "diagnose") {
@@ -1335,8 +1316,7 @@ int main(int argc, char** argv) {
           argc, argv, 2,
           {"study", "data", "rate", "ingest-threads", "workers", "tick",
            "source-lag", "jitter", "seed", "days", "symptoms", "report-out",
-           "metrics-out", "min-rate", "persist", "persist-seal-every",
-           "persist-format"},
+           "metrics-out", "min-rate", "persist", "persist-seal-every"},
           {"no-truth", "paper-scale"}));
     }
     if (command == "serve") {
@@ -1344,14 +1324,13 @@ int main(int argc, char** argv) {
           argc, argv, 2,
           {"study", "data", "port", "port-file", "http-threads", "threads",
            "api-dump", "rate", "tick", "idle-ticks", "alert-rules", "workers",
-           "persist", "persist-seal-every", "persist-format", "days",
-           "symptoms", "seed"},
+           "persist", "persist-seal-every", "days", "symptoms", "seed"},
           {"follow", "once", "public", "paper-scale"}));
     }
     if (command == "store") {
       if (argc < 3) usage("store needs an action: inspect|verify|compact");
       return cmd_store(argv[2],
-                       Args::parse(argc, argv, 3, {"dir", "format"}, {"deep"}));
+                       Args::parse(argc, argv, 3, {"dir"}, {"deep"}));
     }
     if (command == "spans") {
       return cmd_spans(Args::parse(argc, argv, 2, {"in", "out"}));

@@ -6,8 +6,8 @@
 // off, with the skip counters proving pruning actually ran), an exhaustive
 // single-bit corruption sweep (every flipped bit must fail verification
 // cleanly — no crash, no silent acceptance), footer-statistic drift that
-// only --deep verification can catch, and the v1 <-> v2 compaction
-// upgrade/downgrade paths.
+// only --deep verification can catch, and the rejection of v1 sealed
+// segments.
 
 #include <gtest/gtest.h>
 
@@ -139,15 +139,14 @@ TEST(ColumnarSegment, RoundTripsEveryRowInStoredOrder) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 500, 6, 12, watermark);
   TempDir dir("rt");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
 
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
   SegmentReader seg = SegmentReader::open(segments.front());
-  EXPECT_EQ(seg.format_version(), kFormatV2);
   ASSERT_TRUE(seg.sealed());
-  EXPECT_EQ(seg.sealed_event_count(), mem.total_instances());
-  EXPECT_EQ(seg.sealed_watermark(), watermark);
+  EXPECT_EQ(seg.v2_footer().event_count, mem.total_instances());
+  EXPECT_EQ(seg.v2_footer().watermark, watermark);
 
   // Stored order is name-major (sorted names), rows sorted by start — the
   // in-memory store's bucket order exactly.
@@ -181,7 +180,7 @@ TEST(ColumnarSegment, ZonePruningOnAndOffAnswerIdentically) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 3000, 5, 20, watermark);
   TempDir dir("zp");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
 
   PersistentEventStore pruned = PersistentEventStore::open(dir.path);
   PersistentEventStore scanned = PersistentEventStore::open(dir.path);
@@ -221,7 +220,7 @@ TEST(ColumnarSegment, EveryBitFlipFailsVerificationCleanly) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 12, 3, 4, watermark);
   TempDir dir("flip");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
   const fs::path seg_path = segments.front();
@@ -283,7 +282,7 @@ TEST(ColumnarSegment, DeepVerifyCatchesMaxDurationDrift) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 100, 2, 6, watermark);
   TempDir dir("deep");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
 
@@ -305,7 +304,7 @@ TEST(ColumnarSegment, DeepVerifyCatchesZoneMapDrift) {
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 100, 2, 6, watermark);
   TempDir dir("zone");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV2);
+  write_sealed_store(dir.path, mem, watermark);
   auto segments = list_segments(dir.path);
   ASSERT_EQ(segments.size(), 1u);
 
@@ -323,42 +322,55 @@ TEST(ColumnarSegment, DeepVerifyCatchesZoneMapDrift) {
   EXPECT_NE(deep.errors.front().find("zone map"), std::string::npos);
 }
 
-// ------------------------------------------------------------- compaction --
+// ------------------------------------------------------- format versions --
 
-TEST(ColumnarSegment, CompactionUpgradesV1ToV2AndBack) {
+// Sealed segments are v2 only: a sealed segment whose header says v1 (the
+// retired row format) must be refused by every reader, naming the file,
+// and never fall back to another decoder.
+TEST(ColumnarSegment, V1SealedHeaderIsRejectedNamingTheFile) {
   util::Rng rng(0xC07);
   util::TimeSec watermark = 0;
-  core::EventStore mem = build_store(rng, 800, 4, 10, watermark);
-  TempDir dir("upgrade");
-  write_sealed_store(dir.path, mem, watermark, SealFormat::kV1);
-  {
-    PersistentEventStore v1 = PersistentEventStore::open(dir.path);
-    EXPECT_EQ(v1.stats().v2_segments, 0u);
-  }
+  core::EventStore mem = build_store(rng, 200, 4, 10, watermark);
+  TempDir dir("v1");
+  write_sealed_store(dir.path, mem, watermark);
+  auto segments = list_segments(dir.path);
+  ASSERT_EQ(segments.size(), 1u);
+  const fs::path seg_path = segments.front();
 
-  // v1 -> v2 (the default): same events, same order, deep-verified.
-  ASSERT_TRUE(compact_store(dir.path).has_value());
-  PersistentEventStore v2 = PersistentEventStore::open(dir.path);
-  EXPECT_EQ(v2.stats().sealed_segments, 1u);
-  EXPECT_EQ(v2.stats().v2_segments, 1u);
-  EXPECT_EQ(v2.watermark(), watermark);
-  EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
-  for (const std::string& name : mem.event_names()) {
-    auto want = mem.all(name);
-    auto got = v2.all(name);
-    ASSERT_EQ(got.size(), want.size()) << name;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << name << "[" << i << "]";
+  // Rewrite the header version to 1 (kind stays sealed) and recompute the
+  // header CRC, so only the version/kind pairing is wrong.
+  std::vector<std::uint8_t> bytes = read_file(seg_path);
+  ByteReader header(std::span<const std::uint8_t>(bytes).first(8));
+  ASSERT_EQ(header.u32(), kSegmentMagic);
+  std::uint32_t ver_kind = header.u32();
+  ASSERT_EQ(ver_kind & 0xFFFFu, kFormatV2);
+  std::vector<std::uint8_t> patched;
+  put_u32(patched, (ver_kind & 0xFFFF0000u) | kFormatV1);
+  std::copy(patched.begin(), patched.end(), bytes.begin() + 4);
+  patched.clear();
+  put_u32(patched, crc32c(bytes.data(), kSegmentHeaderBytes - 4));
+  std::copy(patched.begin(), patched.end(),
+            bytes.begin() + kSegmentHeaderBytes - 4);
+  write_file(seg_path, bytes);
+
+  auto expect_names_file = [&](auto&& open) {
+    try {
+      open();
+      ADD_FAILURE() << "a v1 sealed segment was accepted";
+    } catch (const StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find(seg_path.string()),
+                std::string::npos)
+          << e.what();
     }
-  }
+  };
+  expect_names_file([&] { (void)SegmentReader::open(seg_path); });
+  expect_names_file([&] { (void)PersistentEventStore::open(dir.path); });
 
-  // v2 -> v1 (downgrade stays supported for mixed-version fleets).
-  ASSERT_TRUE(compact_store(dir.path, SealFormat::kV1).has_value());
-  PersistentEventStore back = PersistentEventStore::open(dir.path);
-  EXPECT_EQ(back.stats().v2_segments, 0u);
-  EXPECT_EQ(back.watermark(), watermark);
-  EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
-  EXPECT_EQ(back.total_instances(), mem.total_instances());
+  VerifyReport report = verify_store(dir.path, /*deep=*/true);
+  EXPECT_EQ(report.segments, 1u);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_NE(report.errors.front().find(seg_path.string()), std::string::npos)
+      << report.errors.front();
 }
 
 }  // namespace

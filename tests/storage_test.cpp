@@ -206,10 +206,13 @@ TEST(Codec, EveryBitFlipIsRejected) {
 
 // ------------------------------------------------------- torn-tail sweep --
 
-// Crash-recovery sweep (the issue's satellite): truncate a live WAL at
-// every byte offset and assert open() recovers exactly the frames that are
-// wholly present — never a partial frame, never fewer than the valid
-// prefix — and accounts every byte to recovered or truncated.
+// Crash-recovery sweep: truncate a live WAL at every byte offset, header
+// included, and assert open() recovers exactly the frames that are wholly
+// present — never a partial frame, never fewer than the valid prefix — and
+// accounts every byte to recovered or truncated. A WAL torn inside its
+// header (a crash between the seal's truncate and write) is a fully torn
+// tail to every reader: open(), the writer, verify_store (recoverable, not
+// an error) and compact_store (an empty WAL).
 TEST(EventLog, TornTailRecoverySweepRecoversExactPrefix) {
   util::Rng rng(23);
   std::vector<core::EventInstance> events;
@@ -221,7 +224,7 @@ TEST(EventLog, TornTailRecoverySweepRecoversExactPrefix) {
     frame_end.push_back(wal.size());
   }
 
-  for (std::size_t cut = kSegmentHeaderBytes; cut <= wal.size(); ++cut) {
+  for (std::size_t cut = 0; cut <= wal.size(); ++cut) {
     TempDir dir("cut" + std::to_string(cut));
     fs::create_directories(dir.path);
     write_file(dir.path / kWalName, wal, cut);
@@ -232,13 +235,34 @@ TEST(EventLog, TornTailRecoverySweepRecoversExactPrefix) {
                                  frame_end.begin());
     std::size_t valid_end =
         whole_frames == 0 ? kSegmentHeaderBytes : frame_end[whole_frames - 1];
+    std::size_t torn = cut < kSegmentHeaderBytes ? cut : cut - valid_end;
 
     // Read path: the mmap-backed store adopts the valid prefix read-only.
     PersistentEventStore store = PersistentEventStore::open(dir.path);
     ASSERT_EQ(store.total_instances(), whole_frames) << "cut=" << cut;
     EXPECT_EQ(store.stats().wal_events, whole_frames);
     EXPECT_EQ(store.stats().recovered_bytes, valid_end - kSegmentHeaderBytes);
-    EXPECT_EQ(store.stats().truncated_bytes, cut - valid_end);
+    EXPECT_EQ(store.stats().truncated_bytes, torn) << "cut=" << cut;
+
+    // Verification: a torn WAL is recoverable, never an integrity error.
+    VerifyReport report = verify_store(dir.path);
+    EXPECT_TRUE(report.ok()) << "cut=" << cut << ": " << report.errors.front();
+    EXPECT_EQ(report.torn_wal_bytes, torn) << "cut=" << cut;
+    EXPECT_EQ(report.frames, whole_frames) << "cut=" << cut;
+
+    // Compaction (on a copy): exactly the whole frames are sealed.
+    TempDir copy("compact-cut" + std::to_string(cut));
+    fs::create_directories(copy.path);
+    write_file(copy.path / kWalName, wal, cut);
+    std::optional<std::uint64_t> seq;
+    ASSERT_NO_THROW(seq = compact_store(copy.path)) << "cut=" << cut;
+    EXPECT_EQ(seq.has_value(), whole_frames > 0) << "cut=" << cut;
+    if (seq) {
+      PersistentEventStore compacted = PersistentEventStore::open(copy.path);
+      EXPECT_EQ(compacted.total_instances(), whole_frames) << "cut=" << cut;
+      EXPECT_FALSE(compacted.stats().wal_present);
+      EXPECT_TRUE(verify_store(copy.path, /*deep=*/true).ok());
+    }
     for (std::size_t i = 0; i < whole_frames; ++i) {
       auto span = store.all(events[i].name);
       EXPECT_TRUE(std::any_of(span.begin(), span.end(),
@@ -362,9 +386,13 @@ TEST(PersistentStore, MultiSegmentPlusWalMatchesInMemoryQueries) {
   EXPECT_TRUE(disk.stats().wal_present);
   EXPECT_EQ(disk.stats().wal_events, 400u);
   expect_equivalent(mem, disk, rng, 300);
+  VerifyReport before = verify_store(dir.path, /*deep=*/true);
+  EXPECT_TRUE(before.ok());
+  EXPECT_EQ(before.frames, mem.total_instances());
 
   // Compaction folds everything into one sealed segment with the same
-  // query results and the newest watermark.
+  // query results (all() in exactly the in-memory order, via
+  // expect_equivalent), the newest watermark, and deep-verified stats.
   auto seq = compact_store(dir.path);
   ASSERT_TRUE(seq.has_value());
   PersistentEventStore compacted = PersistentEventStore::open(dir.path);
@@ -372,53 +400,9 @@ TEST(PersistentStore, MultiSegmentPlusWalMatchesInMemoryQueries) {
   EXPECT_FALSE(compacted.stats().wal_present);
   EXPECT_EQ(compacted.watermark(), watermark);
   expect_equivalent(mem, compacted, rng, 300);
-  EXPECT_TRUE(verify_store(dir.path).ok());
-}
-
-// Mixed-version log: a v1 generation, a v2 generation, and a live WAL
-// tail must merge into the same answers as an in-memory store fed the same
-// arrival order — formats mix freely inside one log.
-TEST(PersistentStore, MixedFormatSegmentsPlusWalMatchInMemoryQueries) {
-  util::Rng rng(0x3141);
-  core::EventStore mem;
-  TempDir dir("mixed");
-  util::TimeSec watermark = 0;
-  auto feed = [&](EventLogWriter& writer, int count) {
-    for (int i = 0; i < count; ++i) {
-      core::EventInstance e = random_event(rng);
-      watermark = std::max(watermark, e.when.start + 1);
-      writer.append(e);
-      mem.add(std::move(e));
-    }
-  };
-  {
-    EventLogWriter v1_writer(dir.path, false, SealFormat::kV1);
-    feed(v1_writer, 400);
-    ASSERT_TRUE(v1_writer.seal(watermark).has_value());
-  }
-  {
-    EventLogWriter v2_writer(dir.path, false, SealFormat::kV2);
-    feed(v2_writer, 400);
-    ASSERT_TRUE(v2_writer.seal(watermark).has_value());
-    feed(v2_writer, 150);  // live WAL tail, not sealed
-  }
-  mem.warm();
-
-  PersistentEventStore disk = PersistentEventStore::open(dir.path);
-  EXPECT_EQ(disk.stats().sealed_segments, 2u);
-  EXPECT_EQ(disk.stats().v2_segments, 1u);
-  EXPECT_EQ(disk.stats().wal_events, 150u);
-  expect_equivalent(mem, disk, rng, 300);
-  EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
-
-  // Compacting the mixed log folds both formats plus the tail into one v2
-  // segment with identical answers.
-  ASSERT_TRUE(compact_store(dir.path).has_value());
-  PersistentEventStore compacted = PersistentEventStore::open(dir.path);
-  EXPECT_EQ(compacted.stats().sealed_segments, 1u);
-  EXPECT_EQ(compacted.stats().v2_segments, 1u);
-  expect_equivalent(mem, compacted, rng, 300);
-  EXPECT_TRUE(verify_store(dir.path, /*deep=*/true).ok());
+  VerifyReport after = verify_store(dir.path, /*deep=*/true);
+  EXPECT_TRUE(after.ok());
+  EXPECT_EQ(after.frames, mem.total_instances());
 }
 
 // The torn-tail sweep with a sealed v2 segment alongside: truncating the
@@ -430,7 +414,7 @@ TEST(EventLog, TornTailSweepWithSealedV2Segment) {
   std::vector<core::EventInstance> sealed_events;
   util::TimeSec watermark = 0;
   {
-    EventLogWriter writer(master.path, false, SealFormat::kV2);
+    EventLogWriter writer(master.path);
     for (int i = 0; i < 50; ++i) {
       sealed_events.push_back(random_event(rng));
       watermark = std::max(watermark, sealed_events.back().when.start + 1);
@@ -463,7 +447,7 @@ TEST(EventLog, TornTailSweepWithSealedV2Segment) {
                                                   frame_end.end(), cut) -
                                  frame_end.begin());
     PersistentEventStore store = PersistentEventStore::open(dir.path);
-    EXPECT_EQ(store.stats().v2_segments, 1u);
+    EXPECT_EQ(store.stats().sealed_segments, 1u);
     EXPECT_EQ(store.stats().wal_events, whole_frames);
     ASSERT_EQ(store.total_instances(), sealed_events.size() + whole_frames)
         << "cut=" << cut;
@@ -585,10 +569,9 @@ std::string fingerprint(const core::Diagnosis& d) {
   return out.str();
 }
 
-// The acceptance gate: diagnosing against a reopened persistent store —
-// in BOTH on-disk formats — yields byte-identical verdicts (same
-// diagnoses, same order, same evidence) as a fresh extraction run over the
-// same corpus.
+// The acceptance gate: diagnosing against a reopened persistent store
+// yields byte-identical verdicts (same diagnoses, same order, same
+// evidence) as a fresh extraction run over the same corpus.
 TEST(PersistentStore, DiagnosisByteIdenticalAcrossFormatsAndBackends) {
   StudyFixture f;
   apps::Pipeline fresh(f.rca_net, f.study.records);
@@ -601,26 +584,21 @@ TEST(PersistentStore, DiagnosisByteIdenticalAcrossFormatsAndBackends) {
       watermark = std::max(watermark, e.when.start + 1);
     }
   }
-  for (SealFormat format : {SealFormat::kV1, SealFormat::kV2}) {
-    std::string tag = format == SealFormat::kV1 ? "v1" : "v2";
-    TempDir dir("diag-" + tag);
-    write_sealed_store(dir.path, fresh.store(), watermark, format);
+  TempDir dir("diag");
+  write_sealed_store(dir.path, fresh.store(), watermark);
 
-    auto disk = std::make_shared<PersistentEventStore>(
-        PersistentEventStore::open(dir.path));
-    EXPECT_EQ(disk->stats().v2_segments,
-              format == SealFormat::kV2 ? 1u : 0u);
-    EXPECT_EQ(disk->total_instances(), fresh.store().total_instances());
-    apps::Pipeline loaded(f.rca_net, f.study.records, disk);
-    auto replayed = loaded.diagnose_all(apps::bgp::build_graph(), 1);
+  auto disk = std::make_shared<PersistentEventStore>(
+      PersistentEventStore::open(dir.path));
+  EXPECT_EQ(disk->stats().sealed_segments, 1u);
+  EXPECT_EQ(disk->total_instances(), fresh.store().total_instances());
+  apps::Pipeline loaded(f.rca_net, f.study.records, disk);
+  auto replayed = loaded.diagnose_all(apps::bgp::build_graph(), 1);
 
-    ASSERT_EQ(replayed.size(), batch.size()) << tag;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(batch[i].symptom, replayed[i].symptom)
-          << tag << " diagnosis " << i;
-      ASSERT_EQ(fingerprint(batch[i]), fingerprint(replayed[i]))
-          << tag << " diagnosis " << i;
-    }
+  ASSERT_EQ(replayed.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(batch[i].symptom, replayed[i].symptom) << "diagnosis " << i;
+    ASSERT_EQ(fingerprint(batch[i]), fingerprint(replayed[i]))
+        << "diagnosis " << i;
   }
 }
 
