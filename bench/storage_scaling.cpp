@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   {
     storage::EventLogWriter writer(dir);
     auto t0 = std::chrono::steady_clock::now();
-    for (const core::EventInstance& e : corpus) writer.append(e);
+    for (const core::EventInstance& e : corpus) writer.append({&e, 1});
     append_s = seconds_since(t0);
     bytes_appended = writer.bytes_appended();
     t0 = std::chrono::steady_clock::now();

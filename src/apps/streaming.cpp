@@ -96,11 +96,19 @@ void StreamingRca::ingest(const telemetry::RawRecord& raw) {
     return;
   }
   high_water_ = std::max(high_water_, record.utc);
-  // Keep the buffer sorted; most records arrive nearly in order, so the
-  // insertion point is near the back.
-  auto pos = std::upper_bound(buffer_.begin(), buffer_.end(), record.utc,
-                              [](TimeSec t, const NormalizedRecord& r) {
-                                return t < r.utc;
+  // Keep the buffer in normalize_stream's order, so equal-utc records reach
+  // extraction in one order whatever their arrival order. Find the record's
+  // utc run by utc alone, then place it within the run by the full order;
+  // most records arrive nearly in order, so the run is near the back.
+  auto [run_first, run_last] = std::equal_range(
+      buffer_.begin(), buffer_.end(), record,
+      [](const NormalizedRecord& x, const NormalizedRecord& y) {
+        return x.utc < y.utc;
+      });
+  auto pos = std::upper_bound(run_first, run_last, record,
+                              [](const NormalizedRecord& x,
+                                 const NormalizedRecord& y) {
+                                return collector::normalized_order(x, y) < 0;
                               });
   buffer_.insert(pos, std::move(record));
   ++stored_;
@@ -130,17 +138,21 @@ void StreamingRca::freeze_until(TimeSec new_cut) {
   }
   // extract_floor_ additionally masks the region a resumed engine already
   // reloaded from sealed segments — re-extracted twins of persisted events
-  // must not re-enter the store (or the log).
+  // must not re-enter the store (or the log). Only this tick's slice of
+  // each bucket is sorted, never the whole re-extracted context; the store
+  // receives it in all()'s order, so its buckets stay append-sorted.
   TimeSec effective_from =
       std::max({frozen_cut_, context_from, extract_floor_});
+  std::vector<core::EventInstance> frozen;
+  std::vector<const core::EventInstance*> slice;
   for (const std::string& name : scratch.event_names()) {
-    for (const core::EventInstance& e : scratch.all(name)) {
-      if (e.when.start >= effective_from && e.when.start < new_cut) {
-        store_.add(e);
-        if (persist_) persist_->append(e);
-      }
-    }
+    scratch.starting_in(name, effective_from, new_cut, slice);
+    for (const core::EventInstance* e : slice) frozen.push_back(*e);
   }
+  // Write-ahead: the tick's frames are on the WAL, in one write, before
+  // the events enter the store.
+  if (persist_) persist_->append(frozen);
+  for (core::EventInstance& e : frozen) store_.add(std::move(e));
   // Routing follows the freeze cut: monitor records in the frozen region are
   // final and strictly ordered. Because every replayed change time is >= the
   // previous routing_cut_ — and all diagnosed symptoms are older than that

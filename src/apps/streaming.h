@@ -52,17 +52,17 @@ struct StreamingOptions {
   /// same order as the serial run regardless of worker count.
   unsigned workers = 1;
   collector::ExtractOptions extract;
-  /// Write-ahead persistence (empty = off): every frozen event is appended
-  /// to the segmented event log at this directory the moment it enters the
-  /// store, and the log is sealed into a columnar segment every
-  /// `persist_seal_every` stream-seconds of freeze progress (and on
-  /// drain()). If the directory already holds sealed segments, the engine
-  /// *resumes*: sealed events reload into the store, extraction of the
-  /// already-persisted region is suppressed, and the diagnosis cursor
-  /// skips symptoms the previous incarnation already reported — re-feeding
-  /// the same raw stream then yields exactly the diagnoses the killed run
-  /// never got to emit. A leftover WAL (torn by the crash) is discarded:
-  /// its events are re-derived from the stream.
+  /// Write-ahead persistence (empty = off): each tick's frozen events are
+  /// appended, in one WAL write, to the segmented event log at this
+  /// directory just before they enter the store, and the log is sealed
+  /// into a columnar segment every `persist_seal_every` stream-seconds of
+  /// freeze progress (and on drain()). If the directory already holds
+  /// sealed segments, the engine *resumes*: sealed events reload into the
+  /// store, extraction of the already-persisted region is suppressed, and
+  /// the diagnosis cursor skips symptoms the previous incarnation already
+  /// reported — re-feeding the same raw stream then yields exactly the
+  /// diagnoses the killed run never got to emit. A leftover WAL (torn by
+  /// the crash) is discarded: its events are re-derived from the stream.
   std::filesystem::path persist_dir;
   util::TimeSec persist_seal_every = util::kHour;
 };

@@ -16,6 +16,14 @@ namespace grca::collector {
 using telemetry::RawRecord;
 using telemetry::SourceType;
 
+std::partial_ordering normalized_order(const NormalizedRecord& x,
+                                       const NormalizedRecord& y) {
+  return std::tie(x.utc, x.source, x.router, x.device, x.interface, x.field,
+                  x.body, x.value, x.attrs) <=>
+         std::tie(y.utc, y.source, y.router, y.device, y.interface, y.field,
+                  y.body, y.value, y.attrs);
+}
+
 std::string render(const NormalizedRecord& record) {
   std::string out = util::format_utc(record.utc);
   out += " [";
@@ -172,10 +180,9 @@ std::vector<NormalizedRecord> Normalizer::normalize_stream(
   for (const RawRecord& raw : stream) {
     if (!normalize(raw, out.emplace_back())) out.pop_back();
   }
-  // Content-deterministic total order, so extraction does not depend on
-  // arrival order: utc, source, then every remaining field, attrs last.
-  // The compact keys settle almost every comparison; only ties on them
-  // compare the records' full fields.
+  // normalized_order, so extraction does not depend on arrival order. The
+  // compact keys (a prefix of it) settle almost every comparison; only
+  // ties on them compare the records' full fields.
   std::vector<SortKey> keys(out.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     const NormalizedRecord& r = out[i];
@@ -190,12 +197,10 @@ std::vector<NormalizedRecord> Normalizer::normalize_stream(
         c != 0) {
       return c < 0;
     }
-    const NormalizedRecord& x = out[a.index];
-    const NormalizedRecord& y = out[b.index];
-    return std::tie(x.router, x.device, x.interface, x.field, x.body, x.value,
-                    x.attrs, a.index) < std::tie(y.router, y.device,
-                                                 y.interface, y.field, y.body,
-                                                 y.value, y.attrs, b.index);
+    if (auto c = normalized_order(out[a.index], out[b.index]); c != 0) {
+      return c < 0;
+    }
+    return a.index < b.index;
   });
   // Apply the permutation in place, one cycle at a time: position i takes
   // the record at keys[i].index. A visited position points at itself.

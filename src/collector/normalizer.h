@@ -13,6 +13,7 @@
 // metric).
 #pragma once
 
+#include <compare>
 #include <limits>
 #include <vector>
 
@@ -22,6 +23,15 @@
 #include "util/strings.h"
 
 namespace grca::collector {
+
+/// The content-deterministic record order: utc, source, router, device,
+/// interface, field, body, value, then attrs. `normalize_stream` sorts by
+/// it (arrival index breaks the remaining ties, between records equal in
+/// every field) and the streaming engine inserts by it, so batch and
+/// stream extraction see equal-utc records in one order whatever their
+/// arrival order.
+std::partial_ordering normalized_order(const NormalizedRecord& x,
+                                       const NormalizedRecord& y);
 
 class Normalizer {
  public:

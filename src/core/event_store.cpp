@@ -28,8 +28,13 @@ void EventStore::add(EventInstance instance) {
   }
   if (b.counter) b.counter->inc();
   b.max_duration = std::max(b.max_duration, instance.when.duration());
+  // An instance that does not start before the bucket's last one keeps a
+  // clean bucket sorted (a stable sort would leave it at the back), so a
+  // store fed in start order never sorts.
+  if (!b.items.empty() && instance.when.start < b.items.back().when.start) {
+    b.dirty = true;
+  }
   b.items.push_back(std::move(instance));
-  b.dirty = true;
   ++total_;
 }
 
@@ -41,17 +46,20 @@ void EventStore::ensure_sorted(const Bucket& bucket) const {
                      return x.when.start < y.when.start;
                    });
   b.dirty = false;
+  b.interned = 0;  // interned instances moved: warm() rescans the bucket
 }
 
 void EventStore::warm() const {
   for (const auto& [name, bucket] : buckets_) {
     ensure_sorted(bucket);
     if (bucket.interned == bucket.items.size()) continue;
-    // Intern locations added since the last warm(). Sorting interleaves new
-    // instances anywhere in the bucket, so scan the whole vector — already
-    // interned ones cost one integer compare.
+    // Without a sort since the last warm(), new instances are exactly the
+    // tail [interned, size). A sort reset `interned` to 0, since it
+    // interleaves new instances anywhere; already interned ones then cost
+    // one integer compare.
     Bucket& b = const_cast<Bucket&>(bucket);
-    for (EventInstance& e : b.items) {
+    for (std::size_t i = b.interned; i < b.items.size(); ++i) {
+      EventInstance& e = b.items[i];
       if (e.where_id == kInvalidLocId) e.where_id = locations_->intern(e.where);
     }
     b.interned = b.items.size();
@@ -113,6 +121,33 @@ std::vector<const EventInstance*> EventStore::query(
     if (i->when.end >= from && pred(*i)) out.push_back(&*i);
   }
   return out;
+}
+
+void EventStore::starting_in(const std::string& name, util::TimeSec from,
+                             util::TimeSec to,
+                             std::vector<const EventInstance*>& out) const {
+  out.clear();
+  auto it = buckets_.find(name);
+  if (it == buckets_.end()) return;
+  const Bucket& b = it->second;
+  if (!b.dirty) {
+    auto first = std::lower_bound(
+        b.items.begin(), b.items.end(), from,
+        [](const EventInstance& e, util::TimeSec v) { return e.when.start < v; });
+    for (auto i = first; i != b.items.end() && i->when.start < to; ++i) {
+      out.push_back(&*i);
+    }
+    return;
+  }
+  // Stable-sorting just the slice keeps its members in the relative order
+  // a stable sort of the whole bucket would give them.
+  for (const EventInstance& e : b.items) {
+    if (e.when.start >= from && e.when.start < to) out.push_back(&e);
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const EventInstance* x, const EventInstance* y) {
+                     return x->when.start < y->when.start;
+                   });
 }
 
 std::span<const EventInstance> EventStore::all(const std::string& name) const {

@@ -7,6 +7,10 @@
 // Instances are kept sorted by start time per event name, so a window query
 // is a binary search plus a linear scan of the overlap range.
 //
+// A bucket only goes dirty when an instance arrives that starts before the
+// bucket's last one; a producer that adds in start order (the streaming
+// engine) never pays a sort.
+//
 // Threading contract (freeze-then-query): add() and the first query after a
 // mutation are single-threaded — queries lazily (re)sort dirty buckets.
 // Calling warm() sorts every dirty bucket from the calling thread; from that
@@ -76,14 +80,15 @@ class EventStoreView {
 
 class EventStore : public EventStoreView {
  public:
-  /// Adds one instance. Instances may arrive in any order; the index is
-  /// (re)sorted lazily on first query after a mutation. Throws ConfigError
-  /// after finalize().
+  /// Adds one instance. Instances may arrive in any order; an instance that
+  /// starts before its bucket's last one marks the bucket for a lazy
+  /// (re)sort on the next query. Throws ConfigError after finalize().
   void add(EventInstance instance);
 
   /// Sorts every dirty bucket now and interns every instance location into
-  /// locations(). After this returns — and until the next add() — queries
-  /// are read-only and safe from concurrent threads.
+  /// locations(); only instances added since the last warm() are visited,
+  /// unless a sort moved interned ones. After this returns — and until the
+  /// next add() — queries are read-only and safe from concurrent threads.
   void warm() const override;
 
   /// warm() plus a permanent write lock: any later add() throws ConfigError.
@@ -131,6 +136,14 @@ class EventStore : public EventStoreView {
   /// All instances of `name` in start-time order (empty span if none).
   std::span<const EventInstance> all(const std::string& name) const override;
 
+  /// Clears `out` and appends the instances of `name` whose start lies in
+  /// [from, to), in the order all() gives them, without sorting the bucket:
+  /// a dirty bucket's matching slice alone is stable-sorted. The streaming
+  /// engine freezes one tick's slice of a scratch extraction this way.
+  void starting_in(const std::string& name, util::TimeSec from,
+                   util::TimeSec to,
+                   std::vector<const EventInstance*>& out) const;
+
   /// Every distinct event name present.
   std::vector<std::string> event_names() const override;
 
@@ -141,7 +154,7 @@ class EventStore : public EventStoreView {
     std::vector<EventInstance> items;   // sorted by when.start once clean
     util::TimeSec max_duration = 0;
     bool dirty = false;
-    std::size_t interned = 0;           // items interned so far (see warm())
+    std::size_t interned = 0;           // interned prefix; a sort resets it
     obs::Counter* counter = nullptr;    // resolved once per signature class
   };
   void ensure_sorted(const Bucket& bucket) const;

@@ -109,6 +109,7 @@ EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal)
   fs::create_directories(dir_);
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     bytes_written_ = &reg->counter("grca_storage_bytes_written_total");
+    wal_writes_ = &reg->counter("grca_storage_wal_writes_total");
     recovered_bytes_ = &reg->counter("grca_storage_recovered_bytes");
     seals_ = &reg->counter("grca_storage_seals_total");
   }
@@ -147,33 +148,30 @@ EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal)
   std::vector<std::uint8_t> image =
       encode_segment_header(next_seq_, SegmentKind::kLive);
   for (const core::EventInstance& e : pending_) encode_frame(e, image);
-  write_file(wal_path, image);
-  open_wal_for_append(image.size());
+  wal_ = WritableFile::open(wal_path);
+  reset_wal(image);
 }
 
-void EventLogWriter::open_wal_for_append(std::uint64_t at) {
-  wal_.close();
-  wal_.clear();
-  wal_.open(dir_ / kWalName, std::ios::binary | std::ios::in | std::ios::out);
-  if (!wal_) {
-    throw StorageError("storage: cannot open WAL for append in " +
-                       dir_.string());
-  }
-  wal_.seekp(static_cast<std::streamoff>(at));
+void EventLogWriter::reset_wal(std::span<const std::uint8_t> image) {
+  wal_.truncate(0);
+  wal_size_ = 0;
+  write_wal(image);
 }
 
-void EventLogWriter::append(const core::EventInstance& e) {
+void EventLogWriter::write_wal(std::span<const std::uint8_t> bytes) {
+  std::size_t calls = wal_.write_at(wal_size_, bytes);
+  wal_size_ += bytes.size();
+  if (wal_writes_) wal_writes_->inc(calls);
+}
+
+void EventLogWriter::append(std::span<const core::EventInstance> events) {
+  if (events.empty()) return;
   scratch_.clear();
-  encode_frame(e, scratch_);
-  wal_.write(reinterpret_cast<const char*>(scratch_.data()),
-             static_cast<std::streamsize>(scratch_.size()));
-  wal_.flush();
-  if (!wal_) {
-    throw StorageError("storage: WAL append failed in " + dir_.string());
-  }
+  for (const core::EventInstance& e : events) encode_frame(e, scratch_);
+  write_wal(scratch_);
   bytes_appended_ += scratch_.size();
   if (bytes_written_) bytes_written_->inc(scratch_.size());
-  pending_.push_back(e);
+  pending_.insert(pending_.end(), events.begin(), events.end());
 }
 
 std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
@@ -187,10 +185,7 @@ std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
   std::uint64_t seq = next_seq_++;
   pending_.clear();
   // Reset the WAL for the next batch (new header carries the new seq).
-  std::vector<std::uint8_t> header =
-      encode_segment_header(next_seq_, SegmentKind::kLive);
-  write_file(dir_ / kWalName, header);
-  open_wal_for_append(header.size());
+  reset_wal(encode_segment_header(next_seq_, SegmentKind::kLive));
   return seq;
 }
 

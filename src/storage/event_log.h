@@ -8,25 +8,29 @@
 //   <dir>/seg-000002.grseg
 //   <dir>/wal.grseg          the live write-ahead segment (may be absent)
 //
-// Appends go to the WAL frame by frame (crash-safe: a torn tail is
-// truncated on the next open). seal() rewrites everything pending as a new
-// sealed columnar segment — written to a temp file and renamed, so a crash
-// mid-seal leaves either the old state or the new, never a half segment —
-// and resets the WAL. The sealed-segment watermark records the stream time
-// up to which the writer's producer had finalized events; a restarted
-// streaming engine resumes from the newest sealed watermark.
+// Appends go to the WAL as whole frames, one write per append call
+// (crash-safe: a torn tail is truncated on the next open). seal() rewrites
+// everything pending as a new sealed columnar segment — written to a temp
+// file and renamed, so a crash mid-seal leaves either the old state or the
+// new, never a half segment — and resets the WAL in place: truncate, then
+// write the new header, so a crash between the two leaves a WAL torn
+// inside its header, which every reader treats as empty. The sealed-segment
+// watermark records the stream time up to which the writer's producer had
+// finalized events; a restarted streaming engine resumes from the newest
+// sealed watermark.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/event.h"
 #include "core/event_store.h"
 #include "obs/metrics.h"
+#include "storage/io.h"
 #include "storage/segment.h"
 
 namespace grca::storage {
@@ -53,17 +57,21 @@ class EventLogWriter {
   explicit EventLogWriter(const std::filesystem::path& dir,
                           bool discard_wal = false);
 
-  /// Write-ahead append: the frame is on the stream (and flushed) before
-  /// this returns.
-  void append(const core::EventInstance& e);
+  /// Write-ahead append: encodes one frame per event, in span order, and
+  /// writes them all with one write call. When this returns every frame is
+  /// on the WAL file (no user-space buffer holds any of them), so a reader
+  /// that opens the log sees them; a crash mid-write leaves a whole-frame
+  /// prefix plus a torn tail. Single events pass a one-element span.
+  void append(std::span<const core::EventInstance> events);
 
   /// Seals everything pending (recovered + appended since the last seal)
   /// into columnar segment `seq = last+1`, grouped by name and sorted by
-  /// start, with `watermark` recorded in the footer; then truncates the
-  /// WAL. A seal with nothing pending still writes an (empty) segment — it
-  /// records watermark progress, which resume depends on across quiet
-  /// intervals; compaction folds empty segments away. Returns the new
-  /// sequence number.
+  /// start, with `watermark` recorded in the footer; then resets the WAL
+  /// on its open descriptor (truncate, then write the new header). A seal
+  /// with nothing pending still writes an (empty) segment — it records
+  /// watermark progress, which resume depends on across quiet intervals;
+  /// compaction folds empty segments away. Returns the new sequence
+  /// number.
   std::optional<std::uint64_t> seal(util::TimeSec watermark);
 
   std::size_t pending() const noexcept { return pending_.size(); }
@@ -71,15 +79,20 @@ class EventLogWriter {
   const std::filesystem::path& dir() const noexcept { return dir_; }
 
  private:
-  void open_wal_for_append(std::uint64_t at);
+  /// Truncates the WAL, then writes `image` (header + frames) at offset 0.
+  void reset_wal(std::span<const std::uint8_t> image);
+  /// Writes `bytes` at the WAL's end, counting the write calls.
+  void write_wal(std::span<const std::uint8_t> bytes);
 
   std::filesystem::path dir_;
-  std::ofstream wal_;
+  WritableFile wal_;
+  std::uint64_t wal_size_ = 0;
   std::uint64_t next_seq_ = 1;
   std::vector<core::EventInstance> pending_;
   std::vector<std::uint8_t> scratch_;
   std::uint64_t bytes_appended_ = 0;
   obs::Counter* bytes_written_ = nullptr;
+  obs::Counter* wal_writes_ = nullptr;
   obs::Counter* recovered_bytes_ = nullptr;
   obs::Counter* seals_ = nullptr;
 };

@@ -9,12 +9,13 @@
 
 #include "util/error.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GRCA_HAVE_MMAP 1
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
+
+#if defined(__unix__) || defined(__APPLE__)
+#define GRCA_HAVE_MMAP 1
+#include <sys/mman.h>
 #else
 #define GRCA_HAVE_MMAP 0
 #endif
@@ -98,6 +99,53 @@ MappedFile MappedFile::open(const std::filesystem::path& path) {
   return f;
 }
 
+WritableFile::~WritableFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+WritableFile::WritableFile(WritableFile&& other) noexcept
+    : fd_(other.fd_), path_(std::move(other.path_)) {
+  other.fd_ = -1;
+}
+
+WritableFile& WritableFile::operator=(WritableFile&& other) noexcept {
+  if (this == &other) return *this;
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = other.fd_;
+  path_ = std::move(other.path_);
+  other.fd_ = -1;
+  return *this;
+}
+
+WritableFile WritableFile::open(const std::filesystem::path& path) {
+  WritableFile f;
+  f.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0666);
+  if (f.fd_ < 0) fail("open", path);
+  f.path_ = path;
+  return f;
+}
+
+std::size_t WritableFile::write_at(std::uint64_t offset,
+                                   std::span<const std::uint8_t> bytes) {
+  std::size_t calls = 0;
+  while (!bytes.empty()) {
+    ssize_t n = ::pwrite(fd_, bytes.data(), bytes.size(),
+                         static_cast<off_t>(offset));
+    ++calls;
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) fail("write", path_);
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return calls;
+}
+
+void WritableFile::truncate(std::uint64_t size) {
+  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+    fail("truncate", path_);
+  }
+}
+
 std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw StorageError("storage: cannot read " + path.string());
@@ -118,15 +166,6 @@ void write_file(const std::filesystem::path& path,
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   if (!out) throw StorageError("storage: short write on " + path.string());
-}
-
-void truncate_file(const std::filesystem::path& path, std::uint64_t size) {
-  std::error_code ec;
-  std::filesystem::resize_file(path, size, ec);
-  if (ec) {
-    throw StorageError("storage: truncate " + path.string() + ": " +
-                       ec.message());
-  }
 }
 
 }  // namespace grca::storage

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/diagnosis_graph.h"
 #include "core/event_store.h"
 #include "core/knowledge_library.h"
@@ -165,6 +170,120 @@ TEST(EventStore, EventNamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "alpha");
   EXPECT_EQ(names[1], "zeta");
+}
+
+// Oracle property: under seeded interleavings of in-order, tied and
+// out-of-order adds with queries, warm() and finalize(), every read equals
+// a stable sort by start of the adds so far, and after each warm() every
+// instance's where_id resolves to its location, as in a store built from
+// the same adds and warmed once (ids are per-table, so locations compare).
+TEST(EventStore, MatchesStableSortOracleUnderRandomInterleavings) {
+  const std::vector<std::string> names = {"a", "b", "c"};
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    util::Rng rng(seed);
+    EventStore store;
+    std::map<std::string, std::vector<EventInstance>> added;
+    std::vector<EventInstance> log;  // every add, in order
+    auto oracle = [&](const std::string& name) {
+      std::vector<EventInstance> out = added[name];
+      std::stable_sort(out.begin(), out.end(),
+                       [](const EventInstance& x, const EventInstance& y) {
+                         return x.when.start < y.when.start;
+                       });
+      return out;
+    };
+    auto check_locations = [&] {
+      EventStore fresh;
+      for (const EventInstance& e : log) fresh.add(e);
+      fresh.warm();
+      for (const std::string& name : names) {
+        auto got = store.all(name);
+        auto want = fresh.all(name);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_NE(got[i].where_id, kInvalidLocId) << "seed " << seed;
+          EXPECT_EQ(store.locations().at(got[i].where_id), got[i].where);
+          EXPECT_EQ(store.locations().at(got[i].where_id),
+                    fresh.locations().at(want[i].where_id))
+              << "seed " << seed << " " << name << "[" << i << "]";
+        }
+      }
+      EXPECT_EQ(store.locations().size(), fresh.locations().size());
+    };
+    const int ops = 300;
+    const int finalize_at = ops - static_cast<int>(rng.below(40));
+    std::vector<const EventInstance*> out;
+    for (int op = 0; op < ops; ++op) {
+      const std::string& name = names[rng.below(names.size())];
+      if (op == finalize_at) {
+        store.finalize();
+        EXPECT_THROW(store.add(make_event(name, 0, 1)), ConfigError);
+        check_locations();
+        continue;
+      }
+      switch (store.finalized() ? 1 + rng.below(4) : rng.below(6)) {
+        case 0:
+        case 5: {
+          const auto& bucket = added[name];
+          util::TimeSec last = bucket.empty() ? 1000 : bucket.back().when.start;
+          util::TimeSec start = last;
+          switch (rng.below(3)) {
+            case 0: start = last + rng.range(1, 50); break;  // in order
+            case 1: break;                                   // tied
+            default: start = last - rng.range(1, 200);       // out of order
+          }
+          EventInstance e = make_event(name, start, start + rng.range(0, 80),
+                                       "r" + std::to_string(rng.below(12)));
+          e.attrs["seq"] = std::to_string(log.size());
+          store.add(e);
+          added[name].push_back(e);
+          log.push_back(e);
+          break;
+        }
+        case 1: {
+          auto got = store.all(name);
+          auto want = oracle(name);
+          ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i], want[i]) << "seed " << seed << " all " << name;
+          }
+          break;
+        }
+        case 2: {
+          util::TimeSec from = rng.range(0, 3000);
+          util::TimeSec to = from + rng.range(0, 400);
+          store.query_into(name, from, to, out);
+          std::vector<EventInstance> want;
+          for (const EventInstance& e : oracle(name)) {
+            if (e.when.start <= to && e.when.end >= from) want.push_back(e);
+          }
+          ASSERT_EQ(out.size(), want.size()) << "seed " << seed;
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(*out[i], want[i]) << "seed " << seed << " query";
+          }
+          break;
+        }
+        case 3: {
+          util::TimeSec from = rng.range(0, 3000);
+          util::TimeSec to = from + rng.range(0, 400);
+          store.starting_in(name, from, to, out);
+          std::vector<EventInstance> want;
+          for (const EventInstance& e : oracle(name)) {
+            if (e.when.start >= from && e.when.start < to) want.push_back(e);
+          }
+          ASSERT_EQ(out.size(), want.size()) << "seed " << seed;
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(*out[i], want[i]) << "seed " << seed << " starting_in";
+          }
+          break;
+        }
+        default:
+          store.warm();
+          check_locations();
+      }
+    }
+    EXPECT_EQ(store.total_instances(), log.size());
+  }
 }
 
 // ---- DiagnosisGraph ---------------------------------------------------------

@@ -372,7 +372,7 @@ TEST(PersistentStore, MultiSegmentPlusWalMatchesInMemoryQueries) {
     for (int i = 0; i < 400; ++i) {
       core::EventInstance e = random_event(rng);
       watermark = std::max(watermark, e.when.start + 1);
-      writer.append(e);
+      writer.append({&e, 1});
       mem.add(std::move(e));
     }
     if (gen < 3) {
@@ -418,7 +418,7 @@ TEST(EventLog, TornTailSweepWithSealedV2Segment) {
     for (int i = 0; i < 50; ++i) {
       sealed_events.push_back(random_event(rng));
       watermark = std::max(watermark, sealed_events.back().when.start + 1);
-      writer.append(sealed_events.back());
+      writer.append({&sealed_events.back(), 1});
     }
     ASSERT_TRUE(writer.seal(watermark).has_value());
   }
@@ -509,7 +509,10 @@ TEST(EventLog, VerifyReportsTornWalAsRecoverable) {
   TempDir dir("tornwal");
   {
     EventLogWriter writer(dir.path);
-    for (int i = 0; i < 10; ++i) writer.append(random_event(rng));
+    for (int i = 0; i < 10; ++i) {
+      core::EventInstance e = random_event(rng);
+      writer.append({&e, 1});
+    }
   }
   fs::path wal = dir.path / kWalName;
   std::vector<std::uint8_t> bytes = read_file(wal);
@@ -518,6 +521,56 @@ TEST(EventLog, VerifyReportsTornWalAsRecoverable) {
   VerifyReport report = verify_store(dir.path);
   EXPECT_TRUE(report.ok()) << "a torn WAL tail is recoverable, not an error";
   EXPECT_GT(report.torn_wal_bytes, 0u);
+}
+
+// One multi-frame append is one WAL write of exactly the concatenated
+// frames, and a crash anywhere inside that write recovers a whole-frame
+// prefix: truncating the WAL at every offset past its header adopts
+// exactly the frames wholly present, in append order.
+TEST(EventLog, TornTailSweepAcrossOneMultiFrameAppend) {
+  util::Rng rng(41);
+  std::vector<core::EventInstance> events;
+  for (int i = 0; i < 5; ++i) events.push_back(random_event(rng));
+  std::vector<std::uint8_t> want = encode_segment_header(1, SegmentKind::kLive);
+  std::vector<std::size_t> frame_end;
+  for (const core::EventInstance& e : events) {
+    encode_frame(e, want);
+    frame_end.push_back(want.size());
+  }
+
+  TempDir master("master");
+  {
+    obs::MetricsRegistry registry;
+    obs::ScopedRegistry scoped(&registry);
+    EventLogWriter writer(master.path);
+    obs::Counter& writes = registry.counter("grca_storage_wal_writes_total");
+    std::uint64_t before = writes.value();
+    writer.append(events);
+    EXPECT_EQ(writes.value() - before, 1u);
+    EXPECT_EQ(writer.pending(), events.size());
+  }
+  std::vector<std::uint8_t> wal = read_file(master.path / kWalName);
+  ASSERT_EQ(wal, want);
+
+  for (std::size_t cut = kSegmentHeaderBytes; cut <= wal.size(); ++cut) {
+    TempDir dir("cut" + std::to_string(cut));
+    fs::create_directories(dir.path);
+    write_file(dir.path / kWalName, wal, cut);
+    std::size_t whole_frames =
+        static_cast<std::size_t>(std::upper_bound(frame_end.begin(),
+                                                  frame_end.end(), cut) -
+                                 frame_end.begin());
+    PersistentEventStore store = PersistentEventStore::open(dir.path);
+    ASSERT_EQ(store.total_instances(), whole_frames) << "cut=" << cut;
+    SegmentReader::Scan scan =
+        SegmentReader::open(dir.path / kWalName).scan_frames();
+    ASSERT_EQ(scan.events.size(), whole_frames) << "cut=" << cut;
+    for (std::size_t i = 0; i < whole_frames; ++i) {
+      EXPECT_EQ(scan.events[i], events[i]) << "cut=" << cut << " frame " << i;
+    }
+    EventLogWriter writer(dir.path);
+    EXPECT_EQ(writer.pending(), whole_frames) << "cut=" << cut;
+  }
 }
 
 // ----------------------------------------- end-to-end diagnosis identity --
@@ -687,6 +740,55 @@ TEST(Streaming, KillAndResumeCompletesWithoutDuplicates) {
 
   // The log left behind is intact and verifiable.
   EXPECT_TRUE(verify_store(dir.path).ok());
+}
+
+// The live persist directory is always a faithful image of what the engine
+// has frozen: after every advance(), a reader opening it sees exactly the
+// stream store's events, sealed segments plus WAL, in the same order.
+TEST(Streaming, PersistDirShowsExactlyTheFrozenEventsAfterEachAdvance) {
+  StudyFixture f;
+  TempDir dir("live");
+  apps::StreamingOptions options;
+  options.freeze_horizon = 900;
+  options.settle = 400;
+  options.extract.flap_pair_window = 600;
+  options.persist_dir = dir.path;
+  options.persist_seal_every = 3 * 3600;
+
+  apps::StreamingRca stream(f.rca_net, apps::bgp::build_graph(), options);
+  std::size_t ticks = 0, max_wal_events = 0, max_sealed = 0;
+  auto check = [&] {
+    PersistentEventStore disk = PersistentEventStore::open(dir.path);
+    max_wal_events = std::max(max_wal_events, disk.stats().wal_events);
+    max_sealed = std::max(max_sealed, disk.stats().sealed_segments);
+    const core::EventStore& mem = stream.store();
+    ASSERT_EQ(disk.total_instances(), mem.total_instances())
+        << "tick " << ticks;
+    ASSERT_EQ(disk.event_names(), mem.event_names()) << "tick " << ticks;
+    for (const std::string& name : mem.event_names()) {
+      auto want = mem.all(name);
+      auto got = disk.all(name);
+      ASSERT_EQ(got.size(), want.size()) << name << " tick " << ticks;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << name << "[" << i << "] tick " << ticks;
+      }
+    }
+  };
+  util::TimeSec next_tick = f.study.records.front().true_utc;
+  for (const telemetry::RawRecord& r : f.study.records) {
+    while (r.true_utc >= next_tick) {
+      stream.advance(next_tick);
+      ++ticks;
+      ASSERT_NO_FATAL_FAILURE(check());
+      next_tick += 300;
+    }
+    stream.ingest(r);
+  }
+  stream.drain();
+  ASSERT_NO_FATAL_FAILURE(check());
+  EXPECT_GT(stream.store().total_instances(), 100u);
+  EXPECT_GT(max_wal_events, 0u) << "no tick read events from the WAL";
+  EXPECT_GT(max_sealed, 1u) << "no tick read several sealed segments";
 }
 
 }  // namespace

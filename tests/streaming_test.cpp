@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "apps/bgp_flap_app.h"
 #include "apps/pipeline.h"
 #include "apps/scoring.h"
@@ -226,6 +230,83 @@ TEST(Streaming, EachSymptomDiagnosedOnce) {
                        .second;
   }
   EXPECT_EQ(duplicates, 0u);
+}
+
+// Arrival order among records that normalize to the same utc must not
+// reach the store: the stream inserts by normalize_stream's total order.
+// One arrival order is the corpus as generated plus a same-second Down and
+// Up of one interface and two same-second BGP notifications of one router
+// (their events share a name and a start, so only record order can order
+// them); the other reverses every run of equal-utc records.
+TEST(Streaming, EqualUtcArrivalOrderDoesNotChangeStoreOrVerdicts) {
+  StreamFixture f;
+  telemetry::RecordStream forward = f.study.records;
+  auto flap = std::find_if(
+      forward.begin(), forward.end(), [](const telemetry::RawRecord& r) {
+        return r.body.find("%LINK-3-UPDOWN") != std::string::npos;
+      });
+  ASSERT_NE(flap, forward.end());
+  std::string head = flap->body.substr(0, flap->body.rfind(' ') + 1);
+  telemetry::RawRecord down = *flap;
+  down.body = head + "down";
+  telemetry::RawRecord up = *flap;
+  up.body = head + "up";
+  telemetry::RawRecord hte_a = *flap;
+  hte_a.body = telemetry::msg::bgp_notification("192.0.2.1", true, "4/0",
+                                                "hold time expired");
+  telemetry::RawRecord hte_b = hte_a;
+  hte_b.body = telemetry::msg::bgp_notification("192.0.2.2", true, "4/0",
+                                                "hold time expired");
+  forward.insert(std::next(flap), {down, up, hte_a, hte_b});
+
+  telemetry::RecordStream reversed = forward;
+  std::size_t permuted_runs = 0;
+  for (auto run = reversed.begin(); run != reversed.end();) {
+    auto end = std::find_if(run, reversed.end(),
+                            [&](const telemetry::RawRecord& r) {
+                              return r.true_utc != run->true_utc;
+                            });
+    if (end - run > 1) {
+      std::reverse(run, end);
+      ++permuted_runs;
+    }
+    run = end;
+  }
+  ASSERT_GT(permuted_runs, 1u);
+
+  auto run_stream = [&](StreamingRca& stream,
+                        const telemetry::RecordStream& records) {
+    std::vector<std::string> verdicts;
+    auto keep = [&](std::vector<core::Diagnosis> batch) {
+      for (const core::Diagnosis& d : batch) {
+        verdicts.push_back(d.symptom.where.key() + "@" +
+                           std::to_string(d.symptom.when.start) + "=" +
+                           d.primary());
+      }
+    };
+    util::TimeSec next_tick = records.front().true_utc;
+    for (const telemetry::RawRecord& r : records) {
+      while (r.true_utc >= next_tick) {
+        keep(stream.advance(next_tick));
+        next_tick += 300;
+      }
+      stream.ingest(r);
+    }
+    keep(stream.drain());
+    return verdicts;
+  };
+  StreamingRca a(f.rca_net, bgp::build_graph(), f.stream_options());
+  StreamingRca b(f.rca_net, bgp::build_graph(), f.stream_options());
+  EXPECT_EQ(run_stream(a, forward), run_stream(b, reversed));
+  ASSERT_EQ(a.store().event_names(), b.store().event_names());
+  for (const std::string& name : a.store().event_names()) {
+    auto x = a.store().all(name);
+    auto y = b.store().all(name);
+    ASSERT_EQ(x.size(), y.size()) << name;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ASSERT_EQ(x[i], y[i]) << name << "[" << i << "]";
+    }
+  }
 }
 
 }  // namespace
