@@ -96,12 +96,20 @@ void StreamingRca::ingest(const telemetry::RawRecord& raw) {
     return;
   }
   high_water_ = std::max(high_water_, record.utc);
-  // Keep the buffer in normalize_stream's order, so equal-utc records reach
-  // extraction in one order whatever their arrival order. Find the record's
-  // utc run by utc alone, then place it within the run by the full order;
-  // most records arrive nearly in order, so the run is near the back.
+  ++stored_;
+  extractor_.observe(record);
+  if (record.source != telemetry::SourceType::kOspfMon &&
+      record.source != telemetry::SourceType::kBgpMon) {
+    return;
+  }
+  // Routing replays monitor records in normalize_stream's order, so
+  // equal-utc records apply in one order whatever their arrival order. Find
+  // the record's utc run by utc alone, then place it within the run by the
+  // full order; most records arrive nearly in order, so the run is near the
+  // back.
   auto [run_first, run_last] = std::equal_range(
-      buffer_.begin(), buffer_.end(), record,
+      routing_buffer_.begin() + static_cast<std::ptrdiff_t>(routing_head_),
+      routing_buffer_.end(), record,
       [](const NormalizedRecord& x, const NormalizedRecord& y) {
         return x.utc < y.utc;
       });
@@ -110,75 +118,54 @@ void StreamingRca::ingest(const telemetry::RawRecord& raw) {
                                  const NormalizedRecord& y) {
                                 return collector::normalized_order(x, y) < 0;
                               });
-  buffer_.insert(pos, std::move(record));
-  ++stored_;
+  routing_buffer_.insert(pos, std::move(record));
 }
 
 void StreamingRca::freeze_until(TimeSec new_cut) {
   if (new_cut <= frozen_cut_) return;
-  // Extraction context: records somewhat before the region (so transitions
-  // and pairings that began earlier resolve) through everything buffered.
-  // On the very first freeze nothing has been finalized, so the whole
-  // buffer is both context and freezable region.
-  constexpr TimeSec kNever = std::numeric_limits<TimeSec>::min();
-  TimeSec context_from =
-      frozen_cut_ == kNever
-          ? kNever
-          : frozen_cut_ - options_.extract.flap_pair_window - 600;
-  auto first = std::lower_bound(buffer_.begin(), buffer_.end(), context_from,
-                                [](const NormalizedRecord& r, TimeSec t) {
-                                  return r.utc < t;
-                                });
-  core::EventStore scratch;
-  if (first != buffer_.end()) {
-    extractor_.extract(
-        std::span<const NormalizedRecord>(
-            &*first, static_cast<std::size_t>(buffer_.end() - first)),
-        scratch);
-  }
-  // extract_floor_ additionally masks the region a resumed engine already
-  // reloaded from sealed segments — re-extracted twins of persisted events
-  // must not re-enter the store (or the log). Only this tick's slice of
-  // each bucket is sorted, never the whole re-extracted context; the store
-  // receives it in all()'s order, so its buckets stay append-sorted.
-  TimeSec effective_from =
-      std::max({frozen_cut_, context_from, extract_floor_});
   std::vector<core::EventInstance> frozen;
-  std::vector<const core::EventInstance*> slice;
-  for (const std::string& name : scratch.event_names()) {
-    scratch.starting_in(name, effective_from, new_cut, slice);
-    for (const core::EventInstance* e : slice) frozen.push_back(*e);
-  }
+  extractor_.emit(new_cut, frozen);
+  // Instances below the previous cut come from records observed after it
+  // (late, yet inside max_skew) and are dropped, as the region they fall in
+  // is already final; extract_floor_ masks the region a resumed engine
+  // reloaded from sealed segments, so persisted events do not re-enter the
+  // store or the log. What is left starts at or after every earlier tick's
+  // events, so the store's buckets stay append-sorted.
+  TimeSec floor = std::max(frozen_cut_, extract_floor_);
+  std::erase_if(frozen, [floor](const core::EventInstance& e) {
+    return e.when.start < floor;
+  });
   // Write-ahead: the tick's frames are on the WAL, in one write, before
   // the events enter the store.
   if (persist_) persist_->append(frozen);
   for (core::EventInstance& e : frozen) store_.add(std::move(e));
   // Routing follows the freeze cut: monitor records in the frozen region are
   // final and strictly ordered. Because every replayed change time is >= the
-  // previous routing_cut_ — and all diagnosed symptoms are older than that
+  // previous freeze cut — and all diagnosed symptoms are older than that
   // cut — replay only appends routing epochs: epoch_at(t) for already-
   // diagnosed times never renumbers, so the engine's join cache stays valid
   // across batches without invalidation.
-  auto route_first = std::lower_bound(
-      buffer_.begin(), buffer_.end(), routing_cut_,
-      [](const NormalizedRecord& r, TimeSec t) { return r.utc < t; });
+  auto route_first =
+      routing_buffer_.begin() + static_cast<std::ptrdiff_t>(routing_head_);
   auto route_last = std::lower_bound(
-      buffer_.begin(), buffer_.end(), new_cut,
+      route_first, routing_buffer_.end(), new_cut,
       [](const NormalizedRecord& r, TimeSec t) { return r.utc < t; });
   if (route_first < route_last) {
     routing_.replay(std::span<const NormalizedRecord>(
         &*route_first, static_cast<std::size_t>(route_last - route_first)));
   }
-  routing_cut_ = new_cut;
+  // Replayed records are spent. They leave from the front in amortized O(1):
+  // the head moves, and the spent prefix is erased once it is half the
+  // buffer.
+  routing_head_ =
+      static_cast<std::size_t>(route_last - routing_buffer_.begin());
+  if (2 * routing_head_ >= routing_buffer_.size()) {
+    routing_buffer_.erase(
+        routing_buffer_.begin(),
+        routing_buffer_.begin() + static_cast<std::ptrdiff_t>(routing_head_));
+    routing_head_ = 0;
+  }
   frozen_cut_ = new_cut;
-  // Trim records that can no longer contribute to any future extraction.
-  TimeSec keep_from =
-      frozen_cut_ - options_.extract.flap_pair_window - 2 * 600;
-  auto keep = std::lower_bound(buffer_.begin(), buffer_.end(), keep_from,
-                               [](const NormalizedRecord& r, TimeSec t) {
-                                 return r.utc < t;
-                               });
-  buffer_.erase(buffer_.begin(), keep);
 }
 
 /// Join state for one batch pushed through the worker queue.

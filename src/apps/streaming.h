@@ -6,10 +6,12 @@
 // engine as the batch pipeline.
 //
 // Design: raw records are ingested as they arrive (out-of-order within a
-// bounded skew). Event extraction is finalized behind a sliding *freeze
-// horizon* H: an event starting before `now - H` can no longer change (every
-// flap pairs within the pairing window < H), so it is extracted exactly once
-// and added to the store. Symptom instances are diagnosed once they are both
+// bounded skew), and each accepted record is observed once by the
+// extraction fold (collector::EventExtractor). Event extraction is
+// finalized behind a sliding *freeze horizon* H: an event starting before
+// `now - H` can no longer change (every flap pairs within the pairing
+// window < H), so each tick emits it from the fold, exactly once, into the
+// store. Symptom instances are diagnosed once they are both
 // frozen and older than the *settle window* S — the maximum forward
 // lookahead any diagnosis rule needs — so late diagnostic evidence is
 // guaranteed to be present. Each advance() returns the newly completed
@@ -106,7 +108,8 @@ class StreamingRca {
   std::size_t injected() const noexcept { return injected_; }
 
   const core::EventStore& store() const noexcept { return store_; }
-  /// Records accepted into the stream buffer (normalized, within skew).
+  /// Records accepted (normalized, within skew) and observed by the
+  /// extractor.
   std::size_t stored() const noexcept { return stored_; }
   /// Records rejected by the collector (unknown device).
   std::size_t rejected() const noexcept { return normalizer_.dropped(); }
@@ -127,8 +130,8 @@ class StreamingRca {
   }
 
  private:
-  /// Extracts events from the buffered records and freezes those starting
-  /// in [frozen_cut_, new_cut).
+  /// Emits the extractor's events starting before new_cut into the store
+  /// (through the WAL) and replays routing up to new_cut.
   void freeze_until(util::TimeSec new_cut);
   /// Diagnoses frozen, settled, not-yet-diagnosed symptoms. With workers
   /// configured, the batch is pushed through the bounded queue and this
@@ -176,10 +179,12 @@ class StreamingRca {
   std::unique_ptr<util::BoundedQueue<DiagnosisJob>> jobs_;
   std::vector<std::thread> workers_;
 
-  std::vector<collector::NormalizedRecord> buffer_;  // kept sorted by utc
+  /// Monitor records (OSPF, BGP) not yet replayed into routing_, in
+  /// normalized_order from routing_head_ on; the prefix before it is spent.
+  std::vector<collector::NormalizedRecord> routing_buffer_;
+  std::size_t routing_head_ = 0;
   util::TimeSec high_water_ = std::numeric_limits<util::TimeSec>::min();
   util::TimeSec frozen_cut_ = std::numeric_limits<util::TimeSec>::min();
-  util::TimeSec routing_cut_ = std::numeric_limits<util::TimeSec>::min();
   util::TimeSec last_now_ = std::numeric_limits<util::TimeSec>::min();
   std::size_t diagnose_cursor_ = 0;  // symptoms diagnosed so far (by order)
   std::size_t stored_ = 0;

@@ -18,8 +18,8 @@ void EventStore::add(EventInstance instance) {
     throw ConfigError("EventStore: invalid interval for " + instance.name);
   }
   // An incoming instance may carry an id issued by another store's table
-  // (e.g. the streaming engine extracts into a scratch store, then copies
-  // here); ids never transfer across tables.
+  // (e.g. one read back from a persisted segment); ids never transfer
+  // across tables.
   instance.where_id = kInvalidLocId;
   Bucket& b = buckets_[instance.name];
   if (metrics_ && !b.counter) {
@@ -121,33 +121,6 @@ std::vector<const EventInstance*> EventStore::query(
     if (i->when.end >= from && pred(*i)) out.push_back(&*i);
   }
   return out;
-}
-
-void EventStore::starting_in(const std::string& name, util::TimeSec from,
-                             util::TimeSec to,
-                             std::vector<const EventInstance*>& out) const {
-  out.clear();
-  auto it = buckets_.find(name);
-  if (it == buckets_.end()) return;
-  const Bucket& b = it->second;
-  if (!b.dirty) {
-    auto first = std::lower_bound(
-        b.items.begin(), b.items.end(), from,
-        [](const EventInstance& e, util::TimeSec v) { return e.when.start < v; });
-    for (auto i = first; i != b.items.end() && i->when.start < to; ++i) {
-      out.push_back(&*i);
-    }
-    return;
-  }
-  // Stable-sorting just the slice keeps its members in the relative order
-  // a stable sort of the whole bucket would give them.
-  for (const EventInstance& e : b.items) {
-    if (e.when.start >= from && e.when.start < to) out.push_back(&e);
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const EventInstance* x, const EventInstance* y) {
-                     return x->when.start < y->when.start;
-                   });
 }
 
 std::span<const EventInstance> EventStore::all(const std::string& name) const {

@@ -99,9 +99,7 @@ class EventStore : public EventStoreView {
   bool finalized() const noexcept { return finalized_; }
 
   /// Mirrors every add() into `registry` as per-signature-class counters
-  /// (`grca_events_total{event="<name>"}`). Enable on the *primary* store
-  /// only — scratch stores (e.g. the streaming engine's incremental
-  /// extraction buffers) would double-count. Pass nullptr to disable.
+  /// (`grca_events_total{event="<name>"}`). Pass nullptr to disable.
   void enable_metrics(obs::MetricsRegistry* registry) noexcept {
     metrics_ = registry;
   }
@@ -135,14 +133,6 @@ class EventStore : public EventStoreView {
 
   /// All instances of `name` in start-time order (empty span if none).
   std::span<const EventInstance> all(const std::string& name) const override;
-
-  /// Clears `out` and appends the instances of `name` whose start lies in
-  /// [from, to), in the order all() gives them, without sorting the bucket:
-  /// a dirty bucket's matching slice alone is stable-sorted. The streaming
-  /// engine freezes one tick's slice of a scratch extraction this way.
-  void starting_in(const std::string& name, util::TimeSec from,
-                   util::TimeSec to,
-                   std::vector<const EventInstance*>& out) const;
 
   /// Every distinct event name present.
   std::vector<std::string> event_names() const override;

@@ -27,8 +27,8 @@ namespace grca::core {
 using LocId = std::uint32_t;
 
 /// "Not interned (yet)". EventInstance::where_id starts here; EventStore::add
-/// resets it so ids issued by a foreign table (e.g. a streaming scratch
-/// store) can never leak across stores.
+/// resets it so ids issued by a foreign table (another store's) can never
+/// leak across stores.
 inline constexpr LocId kInvalidLocId = std::numeric_limits<LocId>::max();
 
 /// Bidirectional Location <-> LocId map.

@@ -477,94 +477,6 @@ TEST(Extract, EgressChangeDetection) {
   EXPECT_TRUE(saw_withdraw_flip);
 }
 
-// ---- anomaly-detection retrieval (Table I third extraction style) --------
-
-struct AnomalyFixture : ExtractFixture {
-  t::CdnNodeId node = net.cdn_nodes().front().id;
-  util::Ipv4Addr client = util::Ipv4Addr::parse("203.0.113.5");
-
-  core::EventStore run_anomaly() {
-    Normalizer norm(net);
-    auto records = norm.normalize_stream(eng.take_records());
-    core::EventStore store;
-    ExtractOptions opts;
-    opts.anomaly_detection = true;
-    EventExtractor(net, opts).extract(records, store);
-    return store;
-  }
-
-  /// Emits `n` baseline readings around `level` followed by one at `spike`.
-  void rtt_series(int n, double level, double spike) {
-    for (int i = 0; i < n; ++i) {
-      eng.emitter().cdn(node, client, 1000 + 60 * i,
-                        "rtt", level + eng.rng().uniform(-2.0, 2.0));
-    }
-    eng.emitter().cdn(node, client, 1000 + 60 * n, "rtt", spike);
-  }
-};
-
-TEST(Extract, AnomalyCatchesSpikeBelowStaticThreshold) {
-  // Baseline ~20 ms, spike to 70 ms: the static threshold (100 ms) misses
-  // it; the baseline-relative detector flags it.
-  AnomalyFixture f;
-  f.rtt_series(30, 20.0, 70.0);
-  Normalizer norm(f.net);
-  auto records = norm.normalize_stream(f.eng.take_records());
-  core::EventStore statics, anomaly;
-  EventExtractor(f.net).extract(records, statics);
-  ExtractOptions opts;
-  opts.anomaly_detection = true;
-  EventExtractor(f.net, opts).extract(records, anomaly);
-  EXPECT_TRUE(statics.all("cdn-rtt-increase").empty());
-  EXPECT_EQ(anomaly.all("cdn-rtt-increase").size(), 1u);
-}
-
-TEST(Extract, AnomalyIgnoresHighStableBaseline) {
-  // A chronically slow path (~150 ms) should not alarm on every reading the
-  // way the static 100 ms threshold does.
-  AnomalyFixture f;
-  f.rtt_series(30, 150.0, 151.0);
-  core::EventStore anomaly = f.run_anomaly();
-  EXPECT_TRUE(anomaly.all("cdn-rtt-increase").empty());
-}
-
-TEST(Extract, AnomalyDetectsThroughputDrop) {
-  AnomalyFixture f;
-  for (int i = 0; i < 30; ++i) {
-    f.eng.emitter().cdn(f.node, f.client, 1000 + 60 * i, "tput",
-                        800.0 + f.eng.rng().uniform(-20.0, 20.0));
-  }
-  f.eng.emitter().cdn(f.node, f.client, 1000 + 60 * 30, "tput", 150.0);
-  core::EventStore store = f.run_anomaly();
-  EXPECT_EQ(store.all("cdn-tput-drop").size(), 1u);
-  EXPECT_TRUE(store.all("cdn-rtt-increase").empty());
-}
-
-TEST(Extract, AnomalyRequiresHistory) {
-  AnomalyFixture f;
-  f.rtt_series(4, 20.0, 500.0);  // below anomaly_min_history
-  EXPECT_TRUE(f.run_anomaly().all("cdn-rtt-increase").empty());
-}
-
-TEST(Extract, AnomalyPerfProbesBaselinePerPopPair) {
-  ExtractFixture f;
-  t::PopId a = f.net.pops()[0].id, b = f.net.pops()[1].id;
-  for (int i = 0; i < 30; ++i) {
-    f.eng.emitter().perf(a, b, 1000 + 300 * i, "loss",
-                         0.1 + f.eng.rng().uniform(0.0, 0.05));
-  }
-  f.eng.emitter().perf(a, b, 1000 + 300 * 30, "loss", 4.0);
-  Normalizer norm(f.net);
-  auto records = norm.normalize_stream(f.eng.take_records());
-  core::EventStore store;
-  ExtractOptions opts;
-  opts.anomaly_detection = true;
-  EventExtractor(f.net, opts).extract(records, store);
-  ASSERT_EQ(store.all("innet-loss-increase").size(), 1u);
-  EXPECT_EQ(store.all("innet-loss-increase")[0].where.type,
-            core::LocationType::kPopPair);
-}
-
 TEST(Extract, RedefinedThresholdChangesEvents) {
   // §II-A: an application can redefine "link congestion" as >= 90%.
   ExtractFixture f;

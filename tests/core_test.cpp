@@ -221,9 +221,9 @@ TEST(EventStore, MatchesStableSortOracleUnderRandomInterleavings) {
         check_locations();
         continue;
       }
-      switch (store.finalized() ? 1 + rng.below(4) : rng.below(6)) {
+      switch (store.finalized() ? 1 + rng.below(3) : rng.below(5)) {
         case 0:
-        case 5: {
+        case 4: {
           const auto& bucket = added[name];
           util::TimeSec last = bucket.empty() ? 1000 : bucket.back().when.start;
           util::TimeSec start = last;
@@ -260,20 +260,6 @@ TEST(EventStore, MatchesStableSortOracleUnderRandomInterleavings) {
           ASSERT_EQ(out.size(), want.size()) << "seed " << seed;
           for (std::size_t i = 0; i < out.size(); ++i) {
             ASSERT_EQ(*out[i], want[i]) << "seed " << seed << " query";
-          }
-          break;
-        }
-        case 3: {
-          util::TimeSec from = rng.range(0, 3000);
-          util::TimeSec to = from + rng.range(0, 400);
-          store.starting_in(name, from, to, out);
-          std::vector<EventInstance> want;
-          for (const EventInstance& e : oracle(name)) {
-            if (e.when.start >= from && e.when.start < to) want.push_back(e);
-          }
-          ASSERT_EQ(out.size(), want.size()) << "seed " << seed;
-          for (std::size_t i = 0; i < out.size(); ++i) {
-            ASSERT_EQ(*out[i], want[i]) << "seed " << seed << " starting_in";
           }
           break;
         }
