@@ -7,12 +7,8 @@
 // daily symptom rate shifts (the "behavioral change after a software
 // upgrade" story of §III-A.2, simulated as a line-card slowly going bad and
 // flapping its ports at an increasing rate in the second half of the week).
-//
-//   $ ./streaming_monitor [--workers N]   # N=0 means hardware concurrency
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "apps/bgp_flap_app.h"
 #include "apps/streaming.h"
@@ -22,25 +18,9 @@
 #include "simulation/scenario.h"
 #include "topology/config.h"
 #include "topology/topo_gen.h"
-#include "util/thread_pool.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace grca;
-  unsigned workers = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      long n = std::strtol(argv[++i], nullptr, 10);
-      if (n < 0) {
-        std::fprintf(stderr, "error: --workers must be >= 0\n");
-        return 2;
-      }
-      workers = n == 0 ? util::ThreadPool::default_threads()
-                       : static_cast<unsigned>(n);
-    } else {
-      std::fprintf(stderr, "usage: %s [--workers N]\n", argv[0]);
-      return 2;
-    }
-  }
   topology::TopoParams tp;
   tp.pops = 6;
   tp.pers_per_pop = 4;
@@ -72,7 +52,6 @@ int main(int argc, char** argv) {
   options.freeze_horizon = 900;
   options.settle = 400;
   options.extract.flap_pair_window = 600;
-  options.workers = workers;
   apps::StreamingRca stream(rca_net, apps::bgp::build_graph(), options);
 
   // Like the production console: one feed-health line per (simulated) day —

@@ -5,11 +5,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <thread>
 
@@ -19,7 +17,6 @@
 #include "obs/sampling.h"
 #include "util/rng.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace grca::apps {
 
@@ -27,14 +24,10 @@ namespace {
 
 using util::TimeSec;
 
-/// Records handed from a feed shard to the driver, in chunks to amortize
-/// the queue synchronization over the per-record hot path.
-constexpr std::size_t kChunkRecords = 128;
-
 struct Item {
   const telemetry::RawRecord* raw = nullptr;
   TimeSec arrival = 0;     // scheduled arrival, sim seconds
-  std::uint64_t seq = 0;   // emission index: the merge tie-breaker
+  std::uint64_t seq = 0;   // emission index: the schedule tie-breaker
 };
 
 bool item_before(const Item& a, const Item& b) {
@@ -49,11 +42,9 @@ std::string verdict_key(const core::Diagnosis& d) {
 
 FeedReplayer::FeedReplayer(const topology::Network& net, ReplayOptions options)
     : net_(net), options_(options) {
-  if (options_.ingest_threads == 0) options_.ingest_threads = 1;
   if (options_.tick <= 0) {
     throw ConfigError("FeedReplayer: tick must be positive");
   }
-  if (options_.shard_queue_chunks == 0) options_.shard_queue_chunks = 1;
 }
 
 ReplayReport FeedReplayer::replay(
@@ -63,137 +54,53 @@ ReplayReport FeedReplayer::replay(
   ReplayReport report;
   report.conservation.emitted = records.size();
 
-  // ---- Arrival schedule (single-threaded, seed-deterministic) -------------
+  // ---- Arrival schedule (seed-deterministic) -----------------------------
   // A stable per-source delivery lag plus per-record jitter, drawn in
-  // emission order: the schedule — and therefore the merged ingest order —
-  // is identical for every ingest thread count and every run.
+  // emission order, then sorted by (arrival, emission index): the ingest
+  // order is identical for every run of the same seed.
   util::Rng rng(options_.seed);
   std::array<TimeSec, obs::kSourceCount> source_delay{};
   for (TimeSec& d : source_delay) {
     d = options_.source_lag > 0 ? rng.range(0, options_.source_lag) : 0;
   }
-  const std::size_t nshards = options_.ingest_threads;
-  std::vector<std::vector<Item>> shards(nshards);
-  TimeSec sim0 = std::numeric_limits<TimeSec>::max();
+  std::vector<Item> schedule;
+  schedule.reserve(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     const telemetry::RawRecord& r = records[i];
     TimeSec delay = source_delay[static_cast<std::size_t>(r.source)];
     if (options_.record_jitter > 0) {
       delay += rng.range(0, options_.record_jitter);
     }
-    Item item{&r, r.true_utc + delay, i};
-    sim0 = std::min(sim0, item.arrival);
-    shards[static_cast<std::size_t>(r.source) % nshards].push_back(item);
+    schedule.push_back(Item{&r, r.true_utc + delay, i});
   }
-  for (std::vector<Item>& shard : shards) {
-    std::sort(shard.begin(), shard.end(), item_before);
-  }
+  std::sort(schedule.begin(), schedule.end(), item_before);
 
   obs::RegistrySampler sampler;
   core::DiagnosisGraph stream_graph = graph;
   StreamingRca stream(net_, std::move(stream_graph), options_.stream);
 
-  // ---- Feed shards: one delivery thread per shard -------------------------
-  using Chunk = std::vector<Item>;
-  std::vector<std::unique_ptr<util::BoundedQueue<Chunk>>> queues;
-  std::vector<std::unique_ptr<std::atomic<std::size_t>>> pushed;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    queues.push_back(std::make_unique<util::BoundedQueue<Chunk>>(
-        options_.shard_queue_chunks));
-    pushed.push_back(std::make_unique<std::atomic<std::size_t>>(0));
-  }
-  std::vector<std::thread> producers;
-  producers.reserve(nshards);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    producers.emplace_back([&, s] {
-      Chunk chunk;
-      chunk.reserve(kChunkRecords);
-      for (const Item& item : shards[s]) {
-        chunk.push_back(item);
-        if (chunk.size() == kChunkRecords) {
-          pushed[s]->fetch_add(chunk.size(), std::memory_order_relaxed);
-          if (!queues[s]->push(std::move(chunk))) return;  // driver gave up
-          chunk = Chunk();
-          chunk.reserve(kChunkRecords);
-        }
-      }
-      if (!chunk.empty()) {
-        pushed[s]->fetch_add(chunk.size(), std::memory_order_relaxed);
-        queues[s]->push(std::move(chunk));
-      }
-      queues[s]->close();
-    });
-  }
-  struct JoinGuard {
-    std::vector<std::unique_ptr<util::BoundedQueue<Chunk>>>& queues;
-    std::vector<std::thread>& threads;
-    ~JoinGuard() {
-      for (auto& q : queues) q->close();
-      for (std::thread& t : threads) {
-        if (t.joinable()) t.join();
-      }
-    }
-  } join_guard{queues, producers};
-
-  // ---- Driver: deterministic k-way merge + pacing + tick loop -------------
-  struct Head {
-    Chunk chunk;
-    std::size_t pos = 0;
-    bool done = false;
-  };
-  std::vector<Head> heads(nshards);
-  auto refill = [&](std::size_t s) {
-    Head& h = heads[s];
-    h.chunk.clear();
-    h.pos = 0;
-    if (!queues[s]->pop(h.chunk) || h.chunk.empty()) h.done = true;
-  };
-  for (std::size_t s = 0; s < nshards; ++s) refill(s);
-
+  // ---- Replay loop: pacing + ticks ----------------------------------------
   std::vector<std::uint32_t> latency_ns;
   latency_ns.reserve(records.size());
-  std::size_t consumed = 0;
   double detection_sum = 0.0;
-  auto sample_depth = [&] {
-    std::size_t in_flight = 0;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      in_flight += pushed[s]->load(std::memory_order_relaxed);
-    }
-    in_flight -= std::min(in_flight, consumed);
-    report.queue_high_water = std::max(report.queue_high_water, in_flight);
+  auto record_detection = [&](core::Diagnosis& d, TimeSec detected_at) {
+    TimeSec lat = std::max<TimeSec>(0, detected_at - d.symptom.when.start);
+    report.detection_max_s = std::max(report.detection_max_s, lat);
+    detection_sum += static_cast<double>(lat);
+    report.diagnoses.push_back(std::move(d));
   };
   auto do_tick = [&](TimeSec now_tick) {
     for (core::Diagnosis& d : stream.advance(now_tick)) {
-      TimeSec lat = now_tick - d.symptom.when.start;
-      report.detection_max_s = std::max(report.detection_max_s, lat);
-      detection_sum += static_cast<double>(lat);
-      report.diagnoses.push_back(std::move(d));
+      record_detection(d, now_tick);
     }
     sampler.sample();
-    sample_depth();
     ++report.ticks;
   };
 
   const auto wall0 = std::chrono::steady_clock::now();
-  TimeSec next_tick = sim0 == std::numeric_limits<TimeSec>::max()
-                          ? 0
-                          : sim0 + options_.tick;
-  while (true) {
-    std::size_t best = nshards;
-    for (std::size_t s = 0; s < nshards; ++s) {
-      if (heads[s].done) continue;
-      if (best == nshards ||
-          item_before(heads[s].chunk[heads[s].pos],
-                      heads[best].chunk[heads[best].pos])) {
-        best = s;
-      }
-    }
-    if (best == nshards) break;  // every shard delivered and drained
-    Item item = heads[best].chunk[heads[best].pos];
-    if (++heads[best].pos == heads[best].chunk.size()) {
-      refill(best);
-      sample_depth();
-    }
+  const TimeSec sim0 = schedule.empty() ? 0 : schedule.front().arrival;
+  TimeSec next_tick = sim0 + options_.tick;
+  for (const Item& item : schedule) {
     while (item.arrival >= next_tick) {
       do_tick(next_tick);
       next_tick += options_.tick;
@@ -212,13 +119,11 @@ ReplayReport FeedReplayer::replay(
     latency_ns.push_back(static_cast<std::uint32_t>(std::min<std::int64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
         std::numeric_limits<std::uint32_t>::max())));
-    ++consumed;
   }
-  std::size_t drained_at = report.diagnoses.size();
-  for (core::Diagnosis& d : stream.drain()) {
-    report.diagnoses.push_back(std::move(d));
-  }
-  (void)drained_at;
+  // drain() runs when the feed ends: its diagnoses are detected at the last
+  // record's arrival.
+  const TimeSec feed_end = schedule.empty() ? 0 : schedule.back().arrival;
+  for (core::Diagnosis& d : stream.drain()) record_detection(d, feed_end);
   sampler.sample();
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall0)
@@ -228,7 +133,7 @@ ReplayReport FeedReplayer::replay(
           ? static_cast<double>(records.size()) / report.wall_seconds
           : 0.0;
   report.diagnoses_count = report.diagnoses.size();
-  if (!report.diagnoses.empty() && detection_sum > 0.0) {
+  if (report.diagnoses_count > 0) {
     report.detection_mean_s = detection_sum / report.diagnoses_count;
   }
 
@@ -318,7 +223,6 @@ std::string render_json(const ReplayReport& report) {
   out << "  \"ingest_latency_us\": {\"p50\": " << report.ingest_p50_us
       << ", \"p99\": " << report.ingest_p99_us
       << ", \"max\": " << report.ingest_max_us << "},\n";
-  out << "  \"queue_high_water\": " << report.queue_high_water << ",\n";
   out << "  \"detection_latency_s\": {\"mean\": " << report.detection_mean_s
       << ", \"max\": " << report.detection_max_s << "},\n";
   const ConservationCheck& c = report.conservation;
@@ -376,10 +280,9 @@ std::string render_text(const ReplayReport& report) {
                 report.ticks);
   out += line;
   std::snprintf(line, sizeof(line),
-                "ingest latency: p50 %.2f us  p99 %.2f us  max %.2f us; "
-                "shard-queue high-water %zu records\n",
+                "ingest latency: p50 %.2f us  p99 %.2f us  max %.2f us\n",
                 report.ingest_p50_us, report.ingest_p99_us,
-                report.ingest_max_us, report.queue_high_water);
+                report.ingest_max_us);
   out += line;
   std::snprintf(line, sizeof(line),
                 "diagnosed %zu symptoms; detection latency mean %.0f s, "

@@ -11,18 +11,15 @@
 // ground-truth symptom must carry a streaming verdict identical to the
 // batch Pipeline's on the same data.
 //
-// Architecture: records are sharded by telemetry source onto N ingest
-// threads — each shard models a feed delivering its records in arrival
-// order through a bounded queue, like the per-feed collectors in front of
-// the real platform. Arrival times are derived deterministically from a
-// seed (a stable per-source delivery lag plus per-record jitter), so the
-// schedule is identical for every thread count and every run. The driver
-// thread k-way-merges the shard queues by (arrival, sequence) — a total
-// order independent of thread scheduling — paces against the scaled wall
-// clock (`rate` sim-seconds per wall-second; <= 0 means as fast as
-// possible), and drives StreamingRca::ingest/advance while sampling the
-// metrics registry. Determinism of the merge is what makes the
-// conservation and differential checks exact instead of statistical.
+// Architecture: one thread. Arrival times are derived deterministically
+// from a seed (a stable per-source delivery lag plus per-record jitter), and
+// the whole schedule is sorted once by (arrival, emission index) — a total
+// order, so every run of the same seed ingests the same sequence. One loop
+// walks that schedule, paces against the scaled wall clock (`rate`
+// sim-seconds per wall-second; <= 0 means as fast as possible), and calls
+// StreamingRca::ingest/advance while sampling the metrics registry. The
+// fixed order is what makes the conservation and differential checks exact
+// instead of statistical.
 #pragma once
 
 #include <functional>
@@ -40,9 +37,6 @@ struct ReplayOptions {
   /// Time-compression factor: sim-seconds replayed per wall-clock second
   /// (100.0 = "100x real time"). <= 0 replays as fast as possible.
   double rate = 0.0;
-  /// Feed shards delivering records concurrently. Sharding is by telemetry
-  /// source, so at most one thread per source type does useful work.
-  unsigned ingest_threads = 1;
   /// Stream-clock advance interval, in sim seconds.
   util::TimeSec tick = 300;
   /// Arrival-skew model, in sim seconds: every source gets a stable
@@ -54,8 +48,6 @@ struct ReplayOptions {
   util::TimeSec source_lag = 0;
   util::TimeSec record_jitter = 0;
   std::uint64_t seed = 1;
-  /// Per-shard hand-off queue capacity, in record chunks.
-  std::size_t shard_queue_chunks = 64;
   /// Thread count for the batch reference diagnosis (0 = hardware).
   unsigned batch_threads = 0;
   StreamingOptions stream;
@@ -129,16 +121,16 @@ struct ReplayReport {
   double ingest_p50_us = 0.0;
   double ingest_p99_us = 0.0;
   double ingest_max_us = 0.0;
-  /// High-water mark of records buffered across the shard hand-off queues.
-  std::size_t queue_high_water = 0;
-  /// Detection latency in sim seconds (symptom start -> diagnosis tick).
+  /// Detection latency in sim seconds: symptom start -> the tick that
+  /// emitted the diagnosis, or -> the last record's arrival (clamped at 0)
+  /// for diagnoses drain() returns after the feed ends.
   double detection_mean_s = 0.0;
   util::TimeSec detection_max_s = 0;
   ConservationCheck conservation;
   std::optional<TruthCheck> truth;  // present when truth labels were given
   std::vector<SourceReplayStats> sources;
-  /// Peak values of every gauge sampled during the run (freeze lag,
-  /// streaming queue depth, feed gaps, ...), by registry name.
+  /// Peak values of every gauge sampled during the run (freeze lag, feed
+  /// gaps, ...), by registry name.
   std::map<std::string, double> gauge_peaks;
   /// The streaming diagnoses themselves, in emission order.
   std::vector<core::Diagnosis> diagnoses;
@@ -151,7 +143,7 @@ struct ReplayReport {
   }
 };
 
-/// Renders the report as a single JSON document (BENCH_replay.json).
+/// Renders the report as a single JSON document (`grca replay --report-out`).
 std::string render_json(const ReplayReport& report);
 
 /// Renders a human-readable summary for the console.

@@ -7,7 +7,6 @@
 #include <chrono>
 
 #include "obs/span.h"
-#include "storage/event_log.h"
 
 namespace grca::apps {
 
@@ -49,7 +48,6 @@ StreamingRca::StreamingRca(const topology::Network& net,
   store_.enable_metrics(obs::registry_ptr());
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     freeze_lag_gauge_ = &reg->gauge("grca_streaming_freeze_lag_seconds");
-    queue_depth_gauge_ = &reg->gauge("grca_streaming_queue_depth");
     batch_seconds_ = &reg->histogram("grca_streaming_batch_seconds");
     batch_size_ = &reg->histogram(
         "grca_streaming_batch_size",
@@ -69,19 +67,6 @@ StreamingRca::StreamingRca(const topology::Network& net,
       ++diagnose_cursor_;
     }
   }
-  if (options_.workers > 1) {
-    jobs_ = std::make_unique<util::BoundedQueue<DiagnosisJob>>(
-        std::size_t{4} * options_.workers);
-    workers_.reserve(options_.workers);
-    for (unsigned i = 0; i < options_.workers; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
-    }
-  }
-}
-
-StreamingRca::~StreamingRca() {
-  if (jobs_) jobs_->close();
-  for (std::thread& t : workers_) t.join();
 }
 
 void StreamingRca::ingest(const telemetry::RawRecord& raw) {
@@ -168,30 +153,6 @@ void StreamingRca::freeze_until(TimeSec new_cut) {
   frozen_cut_ = new_cut;
 }
 
-/// Join state for one batch pushed through the worker queue.
-struct StreamingRca::Batch {
-  std::vector<core::Diagnosis> results;
-  std::mutex mutex;
-  std::condition_variable done;
-  std::size_t remaining = 0;
-  std::exception_ptr error;
-};
-
-void StreamingRca::worker_loop() {
-  DiagnosisJob job;
-  while (jobs_->pop(job)) {
-    std::exception_ptr error;
-    try {
-      job.batch->results[job.slot] = engine_->diagnose(*job.symptom);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    std::lock_guard lock(job.batch->mutex);
-    if (error && !job.batch->error) job.batch->error = error;
-    if (--job.batch->remaining == 0) job.batch->done.notify_all();
-  }
-}
-
 std::vector<core::Diagnosis> StreamingRca::diagnose_ready(TimeSec ready_cut) {
   auto t0 = std::chrono::steady_clock::now();
   auto symptoms = store_.all(engine_->graph().root());
@@ -203,43 +164,17 @@ std::vector<core::Diagnosis> StreamingRca::diagnose_ready(TimeSec ready_cut) {
   const std::size_t count = diagnose_cursor_ - first;
   diagnosed_count_ += count;
   if (batch_size_) batch_size_->observe(static_cast<double>(count));
-  auto record_batch_time = [&] {
-    if (batch_seconds_) {
-      batch_seconds_->observe(std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count());
-    }
-  };
-  if (!jobs_ || count == 0) {
-    std::vector<core::Diagnosis> out;
-    out.reserve(count);
-    for (std::size_t i = first; i < diagnose_cursor_; ++i) {
-      out.push_back(engine_->diagnose(symptoms[i]));
-    }
-    record_batch_time();
-    return out;
+  std::vector<core::Diagnosis> out;
+  out.reserve(count);
+  for (std::size_t i = first; i < diagnose_cursor_; ++i) {
+    out.push_back(engine_->diagnose(symptoms[i]));
   }
-  // Parallel stage: the store is frozen for the duration of the batch (the
-  // next ingest/freeze happens only after this returns), so workers see a
-  // read-only store. Pre-sort any dirty buckets from this thread first.
-  store_.warm();
-  Batch batch;
-  batch.results.resize(count);
-  batch.remaining = count;
-  for (std::size_t i = 0; i < count; ++i) {
-    jobs_->push(DiagnosisJob{&symptoms[first + i], i, &batch});
+  if (batch_seconds_) {
+    batch_seconds_->observe(std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count());
   }
-  // Depth right after the producer finished: how far the workers are
-  // behind at the moment the batch is fully enqueued.
-  if (queue_depth_gauge_) {
-    queue_depth_gauge_->set(static_cast<double>(jobs_->size()));
-  }
-  std::unique_lock lock(batch.mutex);
-  batch.done.wait(lock, [&] { return batch.remaining == 0; });
-  if (batch.error) std::rethrow_exception(batch.error);
-  if (queue_depth_gauge_) queue_depth_gauge_->set(0.0);
-  record_batch_time();
-  return std::move(batch.results);
+  return out;
 }
 
 std::vector<core::Diagnosis> StreamingRca::advance(TimeSec now) {

@@ -23,19 +23,13 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <thread>
 
 #include "collector/extract.h"
 #include "collector/normalizer.h"
 #include "collector/routing_rebuild.h"
 #include "core/engine.h"
 #include "obs/feed_health.h"
-#include "storage/segment.h"
-#include "util/thread_pool.h"
-
-namespace grca::storage {
-class EventLogWriter;
-}  // namespace grca::storage
+#include "storage/event_log.h"
 
 namespace grca::apps {
 
@@ -48,11 +42,6 @@ struct StreamingOptions {
   util::TimeSec settle = 600;
   /// Maximum tolerated arrival skew; older records are dropped and counted.
   util::TimeSec max_skew = util::kHour;
-  /// Diagnosis workers between event freezing and diagnosis: 0 or 1
-  /// diagnoses inline on the caller's thread; N > 1 starts N persistent
-  /// workers fed through a bounded queue. Diagnoses are returned in the
-  /// same order as the serial run regardless of worker count.
-  unsigned workers = 1;
   collector::ExtractOptions extract;
   /// Write-ahead persistence (empty = off): each tick's frozen events are
   /// appended, in one WAL write, to the segmented event log at this
@@ -74,10 +63,6 @@ class StreamingRca {
   StreamingRca(const topology::Network& net, core::DiagnosisGraph graph,
                StreamingOptions options = {});
 
-  /// Drains the diagnosis worker stage (closes the job queue, joins the
-  /// workers). Any batch in flight completes first.
-  ~StreamingRca();
-
   /// Feeds one raw record. Records may arrive out of order by up to
   /// max_skew relative to the high-water mark already ingested. Every record
   /// is accounted for in exactly one of stored() / rejected() /
@@ -95,9 +80,7 @@ class StreamingRca {
   std::vector<core::Diagnosis> drain();
 
   /// Injects a synthesized (non-telemetry) event instance directly into the
-  /// event store — the alert engine's path for "missing data" evidence. Call
-  /// from the ingest thread between advance() calls only: the store is
-  /// single-writer and must not move while a diagnosis batch is in flight.
+  /// event store — the alert engine's path for "missing data" evidence.
   /// Injected instances are not written to the persistence WAL (they are
   /// re-derivable from the feed-health metrics that raised them) and must
   /// not use the graph root's name — the diagnosis cursor walks the root
@@ -118,7 +101,7 @@ class StreamingRca {
 
   /// Per-source feed health (arrival counts, lag, gaps, late drops),
   /// updated on every ingest and re-evaluated against the clock on every
-  /// advance(). Call from the ingest thread.
+  /// advance().
   const obs::FeedHealthMonitor& feed_health() const noexcept {
     return feed_health_;
   }
@@ -133,26 +116,14 @@ class StreamingRca {
   /// Emits the extractor's events starting before new_cut into the store
   /// (through the WAL) and replays routing up to new_cut.
   void freeze_until(util::TimeSec new_cut);
-  /// Diagnoses frozen, settled, not-yet-diagnosed symptoms. With workers
-  /// configured, the batch is pushed through the bounded queue and this
-  /// call blocks until the whole batch is diagnosed — the store is never
-  /// mutated while workers are running.
+  /// Diagnoses frozen, settled, not-yet-diagnosed symptoms, in store order,
+  /// on the caller's thread.
   std::vector<core::Diagnosis> diagnose_ready(util::TimeSec ready_cut);
   /// Publishes high_water - frozen_cut to the freeze-lag gauge.
   void update_freeze_lag();
   /// Seals the persistence log at the current freeze cut when the seal
   /// cadence has elapsed (`force` ignores the cadence — drain()).
   void maybe_seal(bool force);
-
-  /// Join state for one in-flight diagnosis batch (defined in streaming.cpp).
-  struct Batch;
-  /// One slot of an in-flight diagnosis batch, handed to a worker.
-  struct DiagnosisJob {
-    const core::EventInstance* symptom = nullptr;
-    std::size_t slot = 0;
-    Batch* batch = nullptr;
-  };
-  void worker_loop();
 
   const topology::Network& net_;
   StreamingOptions options_;
@@ -165,19 +136,13 @@ class StreamingRca {
   std::unique_ptr<core::RcaEngine> engine_;
 
   /// Write-ahead persistence (see StreamingOptions::persist_dir); null
-  /// when persistence is off. Complete type only in streaming.cpp.
+  /// when persistence is off.
   std::unique_ptr<storage::EventLogWriter> persist_;
   /// Events starting before this are already sealed on disk (resume):
   /// extraction re-derives but does not re-add or re-append them.
   util::TimeSec extract_floor_ = std::numeric_limits<util::TimeSec>::min();
   util::TimeSec last_seal_cut_ = std::numeric_limits<util::TimeSec>::min();
   std::optional<util::TimeSec> resumed_from_;
-
-  /// Worker stage between event ingestion and diagnosis: ingestion (the
-  /// caller's thread) produces frozen symptom batches into the bounded
-  /// queue; the workers consume and diagnose. Empty when workers <= 1.
-  std::unique_ptr<util::BoundedQueue<DiagnosisJob>> jobs_;
-  std::vector<std::thread> workers_;
 
   /// Monitor records (OSPF, BGP) not yet replayed into routing_, in
   /// normalized_order from routing_head_ on; the prefix before it is spent.
@@ -194,7 +159,6 @@ class StreamingRca {
 
   // Streaming instrumentation (null when no registry is installed).
   obs::Gauge* freeze_lag_gauge_ = nullptr;
-  obs::Gauge* queue_depth_gauge_ = nullptr;
   obs::Histogram* batch_seconds_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
 };

@@ -55,7 +55,6 @@ const char* family_help(const std::string& family) {
       {"grca_feed_silent", "1 when a feed is silent beyond its cadence"},
       {"grca_feed_lag_seconds", "Arrival lag (arrival - event time)"},
       {"grca_freeze_lag_seconds", "Stream high-water minus freeze cut"},
-      {"grca_streaming_queue_depth", "Diagnosis jobs queued to workers"},
       {"grca_streaming_batch_seconds", "Wall time per diagnosis batch"},
       {"grca_streaming_batch_size", "Symptoms per diagnosis batch"},
       {"grca_http_connections_total", "HTTP connections accepted"},

@@ -69,23 +69,23 @@
 //       wall-clock timing so every rendering is byte-stable.
 //
 //   grca replay [--study bgp|cdn|pim|innet] [--data DIR]
-//               [--rate N[x]|max] [--ingest-threads N] [--workers N]
-//               [--tick SEC] [--source-lag SEC] [--jitter SEC] [--seed S]
-//               [--days N] [--symptoms N] [--report-out FILE]
-//               [--metrics-out FILE] [--min-rate RECORDS_PER_MIN] [--no-truth]
+//               [--rate N[x]|max] [--tick SEC] [--source-lag SEC]
+//               [--jitter SEC] [--seed S] [--days N] [--symptoms N]
+//               [--report-out FILE] [--metrics-out FILE]
+//               [--min-rate RECORDS_PER_MIN] [--no-truth]
 //       Replay a recorded corpus (--data) or a freshly generated default
 //       scenario through the streaming RCA engine at a scaled (or maximum)
-//       rate, sharded over N ingest threads with seeded per-source arrival
-//       skew, and print the replay report: throughput, ingest latency
-//       percentiles, queue high-water, per-source feed health, the record
-//       conservation check, and (unless --no-truth) ground-truth coverage
-//       plus a streaming-vs-batch verdict diff. Exits nonzero when a check
-//       fails or the sustained rate is below --min-rate.
+//       rate with seeded per-source arrival skew, and print the replay
+//       report: throughput, ingest latency percentiles, per-source feed
+//       health, the record conservation check, and (unless --no-truth)
+//       ground-truth coverage plus a streaming-vs-batch verdict diff.
+//       Exits nonzero when a check fails or the sustained rate is below
+//       --min-rate.
 //
 //   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
 //              [--port-file FILE] [--http-threads N] [--api-dump DIR]
 //              [--once] [--public] [--follow] [--rate N[x]|max] [--tick SEC]
-//              [--idle-ticks N] [--alert-rules FILE] [--workers N]
+//              [--idle-ticks N] [--alert-rules FILE]
 //              [--persist DIR] [--persist-seal-every SEC]
 //              [--days N] [--symptoms N] [--seed S]
 //       Run a diagnosis and serve it over HTTP: GET /metrics (Prometheus
@@ -210,15 +210,14 @@ namespace {
              [--gate-out FILE] [--rules-out FILE] [--metrics-out FILE]
              [--span-log FILE]
   grca replay [--study bgp|cdn|pim|innet] [--data DIR] [--rate N[x]|max]
-              [--ingest-threads N] [--workers N] [--tick SEC]
-              [--source-lag SEC] [--jitter SEC] [--seed S] [--days N]
-              [--symptoms N] [--report-out FILE] [--metrics-out FILE]
-              [--min-rate RECORDS_PER_MIN] [--no-truth] [--persist DIR]
-              [--persist-seal-every SEC]
+              [--tick SEC] [--source-lag SEC] [--jitter SEC] [--seed S]
+              [--days N] [--symptoms N] [--report-out FILE]
+              [--metrics-out FILE] [--min-rate RECORDS_PER_MIN] [--no-truth]
+              [--persist DIR] [--persist-seal-every SEC]
   grca serve --study bgp|cdn|pim|innet [--data DIR] [--port N]
              [--port-file FILE] [--http-threads N] [--api-dump DIR] [--once]
              [--public] [--follow] [--rate N[x]|max] [--tick SEC]
-             [--idle-ticks N] [--alert-rules FILE] [--workers N]
+             [--idle-ticks N] [--alert-rules FILE]
              [--persist DIR] [--persist-seal-every SEC]
              [--days N] [--symptoms N] [--seed S]
   grca store inspect --dir DIR
@@ -621,9 +620,6 @@ int cmd_replay(const Args& args) {
     }
     if (opt.rate <= 0) usage("--rate must be a positive factor or 'max'");
   }
-  opt.ingest_threads =
-      static_cast<unsigned>(args.get_long("ingest-threads", 2));
-  opt.stream.workers = static_cast<unsigned>(args.get_long("workers", 1));
   opt.tick = args.get_long("tick", 300);
   opt.source_lag = args.get_long("source-lag", 120);
   opt.record_jitter = args.get_long("jitter", 60);
@@ -782,7 +778,6 @@ int cmd_serve(const Args& args) {
   core::DiagnosisGraph graph = hooks.graph();
   service::add_missing_data_support(graph);
   apps::StreamingOptions sopt;
-  sopt.workers = static_cast<unsigned>(args.get_long("workers", 1));
   if (auto it = args.values.find("persist"); it != args.values.end()) {
     sopt.persist_dir = fs::path(it->second.back());
     sopt.persist_seal_every =
@@ -1314,17 +1309,17 @@ int main(int argc, char** argv) {
     if (command == "replay") {
       return cmd_replay(Args::parse(
           argc, argv, 2,
-          {"study", "data", "rate", "ingest-threads", "workers", "tick",
-           "source-lag", "jitter", "seed", "days", "symptoms", "report-out",
-           "metrics-out", "min-rate", "persist", "persist-seal-every"},
+          {"study", "data", "rate", "tick", "source-lag", "jitter", "seed",
+           "days", "symptoms", "report-out", "metrics-out", "min-rate",
+           "persist", "persist-seal-every"},
           {"no-truth", "paper-scale"}));
     }
     if (command == "serve") {
       return cmd_serve(Args::parse(
           argc, argv, 2,
           {"study", "data", "port", "port-file", "http-threads", "threads",
-           "api-dump", "rate", "tick", "idle-ticks", "alert-rules", "workers",
-           "persist", "persist-seal-every", "days", "symptoms", "seed"},
+           "api-dump", "rate", "tick", "idle-ticks", "alert-rules", "persist",
+           "persist-seal-every", "days", "symptoms", "seed"},
           {"follow", "once", "public", "paper-scale"}));
     }
     if (command == "store") {

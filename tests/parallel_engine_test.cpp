@@ -2,8 +2,8 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the parallel diagnosis paths: RcaEngine::diagnose_all fan-out,
-// the EventStore freeze-then-query contract, the streaming worker stage and
-// the pipeline per-application fan-out. The determinism tests assert the
+// the EventStore freeze-then-query contract and the pipeline
+// per-application fan-out. The determinism tests assert the
 // parallel runs are *identical* to serial — same diagnoses, same instance
 // pointers, same order. The TSan CI job runs this binary to prove the
 // concurrent paths race-free.
@@ -14,7 +14,6 @@
 
 #include "apps/bgp_flap_app.h"
 #include "apps/pipeline.h"
-#include "apps/streaming.h"
 #include "core/engine.h"
 #include "core/rule_dsl.h"
 #include "routing/bgp.h"
@@ -191,13 +190,13 @@ TEST(EventStoreFreeze, WarmMakesQueriesReadOnly) {
   for (std::size_t count : counts) EXPECT_EQ(count, 100u);
 }
 
-/// Streaming fixture: the same BGP study both serial and with workers.
-struct StreamScenario {
+/// A small BGP study for the pipeline fan-out test.
+struct BgpScenario {
   t::Network sim_net;
   t::Network rca_net;
   sim::StudyOutput study;
 
-  StreamScenario() {
+  BgpScenario() {
     t::TopoParams tp;
     tp.pops = 3;
     tp.pers_per_pop = 3;
@@ -210,50 +209,10 @@ struct StreamScenario {
     params.target_symptoms = 80;
     study = sim::run_bgp_study(sim_net, params);
   }
-
-  std::vector<core::Diagnosis> run(unsigned workers) const {
-    apps::StreamingOptions options;
-    options.freeze_horizon = 900;
-    options.settle = 400;
-    options.extract.flap_pair_window = 600;
-    options.workers = workers;
-    apps::StreamingRca stream(rca_net, apps::bgp::build_graph(), options);
-    std::vector<core::Diagnosis> out;
-    util::TimeSec next_tick = study.records.front().true_utc;
-    for (const telemetry::RawRecord& r : study.records) {
-      while (r.true_utc >= next_tick) {
-        for (auto& d : stream.advance(next_tick)) out.push_back(std::move(d));
-        next_tick += 300;
-      }
-      stream.ingest(r);
-    }
-    for (auto& d : stream.drain()) out.push_back(std::move(d));
-    return out;
-  }
 };
 
-TEST(ParallelStreaming, WorkerStageIdenticalToSerial) {
-  StreamScenario scenario;
-  auto serial = scenario.run(1);
-  auto parallel = scenario.run(4);
-  ASSERT_GT(serial.size(), 10u);
-  ASSERT_EQ(serial.size(), parallel.size());
-  // Separate StreamingRca instances own separate stores, so compare by
-  // value (symptom identity, verdict, evidence shape), in order.
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].symptom, parallel[i].symptom) << "diagnosis " << i;
-    EXPECT_EQ(serial[i].primary(), parallel[i].primary()) << "diagnosis " << i;
-    ASSERT_EQ(serial[i].evidence.size(), parallel[i].evidence.size());
-    for (std::size_t j = 0; j < serial[i].evidence.size(); ++j) {
-      EXPECT_EQ(serial[i].evidence[j].event, parallel[i].evidence[j].event);
-      EXPECT_EQ(serial[i].evidence[j].instances.size(),
-                parallel[i].evidence[j].instances.size());
-    }
-  }
-}
-
 TEST(ParallelPipeline, DiagnoseAppsMatchesPerAppSerial) {
-  StreamScenario scenario;
+  BgpScenario scenario;
   collector::ExtractOptions extract;
   extract.flap_pair_window = 600;
   apps::Pipeline pipeline(scenario.rca_net, scenario.study.records, extract);

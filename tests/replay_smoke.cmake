@@ -9,7 +9,7 @@ file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
 execute_process(
-  COMMAND "${GRCA}" replay --study bgp --rate max --ingest-threads 4
+  COMMAND "${GRCA}" replay --study bgp --rate max
           --min-rate 1000000 --report-out BENCH_replay_cli.json
   WORKING_DIRECTORY "${WORK}"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)

@@ -2,8 +2,7 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for util::ThreadPool (submit/wait, parallel_for, exception
-// propagation, edge cases) and util::BoundedQueue (FIFO hand-off, close
-// semantics).
+// propagation, edge cases).
 
 #include <gtest/gtest.h>
 
@@ -99,51 +98,6 @@ TEST(ThreadPool, ParallelForPropagatesException) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&](std::size_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
-}
-
-TEST(BoundedQueue, FifoAcrossThreads) {
-  BoundedQueue<int> queue(4);  // smaller than the item count: push blocks
-  std::vector<int> received;
-  std::thread consumer([&] {
-    int v;
-    while (queue.pop(v)) received.push_back(v);
-  });
-  for (int i = 0; i < 100; ++i) ASSERT_TRUE(queue.push(i));
-  queue.close();
-  consumer.join();
-  ASSERT_EQ(received.size(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(received[i], i);
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedQueue<int> queue(8);
-  ASSERT_TRUE(queue.push(1));
-  ASSERT_TRUE(queue.push(2));
-  queue.close();
-  EXPECT_FALSE(queue.push(3));  // rejected after close
-  int v = 0;
-  EXPECT_TRUE(queue.pop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(queue.pop(v));
-  EXPECT_EQ(v, 2);
-  EXPECT_FALSE(queue.pop(v));  // drained
-}
-
-TEST(BoundedQueue, CloseUnblocksWaitingConsumers) {
-  BoundedQueue<int> queue(2);
-  std::atomic<int> finished{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      int v;
-      while (queue.pop(v)) {
-      }
-      ++finished;
-    });
-  }
-  queue.close();
-  for (std::thread& t : consumers) t.join();
-  EXPECT_EQ(finished.load(), 3);
 }
 
 }  // namespace
