@@ -2,15 +2,16 @@
 // SPDX-License-Identifier: MIT
 //
 // Persistent event store gate: measures write-ahead append throughput,
-// sealing into the columnar format, and the mmap-backed cold-open query
-// path against the in-memory store on the same corpus. Fails unless
+// sealing into the columnar format, and the cold open (a full decode into
+// an EventStore) plus windowed queries against rebuilding the in-memory
+// store on the same corpus. Fails unless
 //  (a) every windowed query answers byte-identically to the in-memory
 //      reference, and
 //  (b) cold open + querying beats rebuilding the in-memory store from
 //      scratch — the point of persisting at all.
 // Reports JSON (default BENCH_storage.json) for the CI artifact trail,
-// including the windowed-query rate and the zone-map skip ratio that
-// tools/bench_diff.py gates against bench/baselines.
+// including the windowed-query rate that tools/bench_diff.py gates against
+// bench/baselines.
 
 #include <algorithm>
 #include <chrono>
@@ -55,7 +56,7 @@ struct WindowQuery {
 };
 
 /// Runs the windowed-scan phase against one store; returns wall seconds.
-double run_windowed(const core::EventStoreView& store,
+double run_windowed(const core::EventStore& store,
                     const std::vector<WindowQuery>& queries,
                     std::size_t& hits) {
   std::vector<const core::EventInstance*> got;
@@ -70,7 +71,7 @@ double run_windowed(const core::EventStoreView& store,
 
 /// Re-runs the query list comparing `store` against the in-memory
 /// reference field by field (untimed).
-bool check_identical(const core::EventStoreView& store,
+bool check_identical(const core::EventStore& store,
                      const core::EventStore& mem,
                      const std::vector<WindowQuery>& queries) {
   std::vector<const core::EventInstance*> got, want;
@@ -157,8 +158,7 @@ int main(int argc, char** argv) {
     queries.push_back(w);
   }
 
-  // Cold open + windowed scans (the store starts with nothing
-  // materialized).
+  // Cold open (every row decoded) + windowed scans.
   t0 = std::chrono::steady_clock::now();
   storage::PersistentEventStore disk =
       storage::PersistentEventStore::open(dir);
@@ -166,29 +166,10 @@ int main(int argc, char** argv) {
   std::size_t hits = 0;
   double windowed_s = run_windowed(disk, queries, hits);
 
-  const auto& zone = disk.query_stats();
-  std::uint64_t zone_considered =
-      zone.zone_blocks_considered.load(std::memory_order_relaxed);
-  std::uint64_t zone_skipped =
-      zone.zone_blocks_skipped.load(std::memory_order_relaxed);
-  double zone_skip_ratio =
-      zone_considered > 0
-          ? static_cast<double>(zone_skipped) / zone_considered
-          : 0.0;
-
   // Correctness: every query must answer byte-identically to the
-  // in-memory reference (the timed scans above ran on exactly the state
-  // being checked here plus the cached decodes).
-  bool identical = check_identical(disk, mem, queries);
-
-  // Full decode (every name, every row) — the amortized read ceiling.
-  t0 = std::chrono::steady_clock::now();
-  std::size_t decoded = 0;
-  for (const std::string& name : disk.event_names()) {
-    decoded += disk.all(name).size();
-  }
-  double decode_s = seconds_since(t0);
-  identical &= decoded == mem.total_instances();
+  // in-memory reference, and the store must hold every event.
+  bool identical = check_identical(disk, mem, queries) &&
+                   disk.total_instances() == mem.total_instances();
 
   double cold_total_s = open_s + windowed_s;
   const bool faster = cold_total_s < build_s;
@@ -203,19 +184,12 @@ int main(int argc, char** argv) {
   table.add_row({"windowed scans", util::format_double(windowed_s, 4),
                  util::format_double(kWindowedQueries / windowed_s, 0) +
                      " q/s"});
-  table.add_row({"full decode", util::format_double(decode_s, 4),
-                 util::format_double(decoded / decode_s, 0) + " ev/s"});
   std::fputs(
       table.render("persistent store scaling (" + std::to_string(count) +
                    " events)").c_str(),
       stdout);
   std::printf("query results vs in-memory: %s (%zu instances returned)\n",
               identical ? "byte-identical" : "DIVERGED", hits);
-  std::printf(
-      "zone maps skipped %llu/%llu blocks (%.1f%%)\n",
-      static_cast<unsigned long long>(zone_skipped),
-      static_cast<unsigned long long>(zone_considered),
-      100.0 * zone_skip_ratio);
 
   {
     std::ofstream out(out_file);
@@ -232,10 +206,6 @@ int main(int argc, char** argv) {
         << "  \"v2_windowed_seconds\": " << windowed_s << ",\n"
         << "  \"v2_windowed_queries_per_s\": "
         << kWindowedQueries / windowed_s << ",\n"
-        << "  \"zone_blocks_considered\": " << zone_considered << ",\n"
-        << "  \"zone_blocks_skipped\": " << zone_skipped << ",\n"
-        << "  \"zone_skip_ratio\": " << zone_skip_ratio << ",\n"
-        << "  \"full_decode_seconds\": " << decode_s << ",\n"
         << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
         << "  \"cold_open_faster_than_rebuild\": "
         << (faster ? "true" : "false") << "\n"

@@ -71,12 +71,6 @@ class Pipeline {
   std::vector<core::Diagnosis> diagnose_all(core::DiagnosisGraph graph,
                                             unsigned threads = 0) const;
 
-  /// Per-application fan-out: diagnoses several applications' graphs
-  /// concurrently on one pool over the shared store. Results are returned
-  /// in input order, each identical to a serial diagnose_all of that graph.
-  std::vector<std::vector<core::Diagnosis>> diagnose_apps(
-      std::vector<core::DiagnosisGraph> graphs, unsigned threads = 0) const;
-
  private:
   const topology::Network& net_;
   obs::FeedHealthMonitor feed_health_;  // must precede index_ (normalizer

@@ -59,12 +59,11 @@ struct Diagnosis {
 
 class RcaEngine {
  public:
-  /// The engine reads events from `store` — any EventStoreView backend: the
-  /// in-memory store or the mmap-backed persistent store, with identical
-  /// results — and resolves spatial joins through `mapper`; both must
-  /// outlive the engine. The diagnosis graph is copied (it is small
-  /// configuration data; owning it removes a lifetime trap for callers that
-  /// build graphs inline).
+  /// The engine reads events from `store` — extracted in memory or loaded
+  /// from a persisted log, with identical results — and resolves spatial
+  /// joins through `mapper`; both must outlive the engine. The diagnosis
+  /// graph is copied (it is small configuration data; owning it removes a
+  /// lifetime trap for callers that build graphs inline).
   RcaEngine(DiagnosisGraph graph, const EventStoreView& store,
             const LocationMapper& mapper);
 

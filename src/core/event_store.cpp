@@ -103,26 +103,6 @@ std::size_t EventStore::query_into(
   return out.size();
 }
 
-std::vector<const EventInstance*> EventStore::query(
-    const std::string& name, util::TimeSec from, util::TimeSec to,
-    const std::function<bool(const EventInstance&)>& pred) const {
-  std::vector<const EventInstance*> out;
-  auto it = buckets_.find(name);
-  if (it == buckets_.end()) return out;
-  const Bucket& b = it->second;
-  ensure_sorted(b);
-  // Overlap requires start <= to and end >= from; since end <= start +
-  // max_duration, any overlapping instance has start >= from - max_duration.
-  util::TimeSec lo = from - b.max_duration;
-  auto first = std::lower_bound(
-      b.items.begin(), b.items.end(), lo,
-      [](const EventInstance& e, util::TimeSec v) { return e.when.start < v; });
-  for (auto i = first; i != b.items.end() && i->when.start <= to; ++i) {
-    if (i->when.end >= from && pred(*i)) out.push_back(&*i);
-  }
-  return out;
-}
-
 std::span<const EventInstance> EventStore::all(const std::string& name) const {
   auto it = buckets_.find(name);
   if (it == buckets_.end()) return {};

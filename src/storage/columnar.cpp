@@ -348,49 +348,13 @@ V2Footer decode_v2_footer(std::span<const std::uint8_t> payload) {
   return footer;
 }
 
-void decode_v2_timestamps(std::span<const std::uint8_t> segment_bytes,
-                          const V2Run& run, std::size_t first_block,
-                          std::size_t last_block, util::TimeSec* starts,
-                          util::TimeSec* ends) {
-  RunColumns cols = run_columns(segment_bytes, run);
-  for (std::size_t b = first_block; b < last_block; ++b) {
-    auto [s_from, s_to] =
-        block_slice(run, b, [](const V2Block& x) { return x.starts_off; },
-                    run.starts_len);
-    auto [d_from, d_to] =
-        block_slice(run, b, [](const V2Block& x) { return x.durs_off; },
-                    run.durs_len);
-    SliceReader s{cols.starts.data() + s_from, cols.starts.data() + s_to};
-    SliceReader d{cols.durs.data() + d_from, cols.durs.data() + d_to};
-    std::size_t row = b * run.block_rows;
-    std::size_t rows = std::min<std::uint64_t>(run.block_rows,
-                                               run.count - row);
-    util::TimeSec start = 0;
-    for (std::size_t i = 0; i < rows; ++i, ++row) {
-      start = i == 0 ? s.raw_i64()
-                     : start + static_cast<util::TimeSec>(s.varint());
-      starts[row] = start;
-      ends[row] = start + d.varint_signed();
-    }
-  }
-}
-
-void decode_v2_rows(std::span<const std::uint8_t> segment_bytes,
-                    const V2Footer& footer, const V2Run& run,
-                    std::uint64_t first, std::uint64_t last,
-                    const std::function<void(std::uint64_t,
-                                             core::EventInstance,
-                                             core::LocId)>& sink,
-                    const std::function<bool(std::uint64_t)>& want) {
-  if (first >= last) return;
-  if (last > run.count) {
-    throw StorageError("storage: v2 row range past the run");
-  }
+void decode_v2_rows(
+    std::span<const std::uint8_t> segment_bytes, const V2Footer& footer,
+    const V2Run& run,
+    const std::function<void(core::EventInstance, core::LocId)>& sink) {
   RunColumns cols = run_columns(segment_bytes, run);
   const std::string& name = footer.names.at(run.name_id);
-  std::size_t first_block = first / run.block_rows;
-  std::size_t last_block = (last + run.block_rows - 1) / run.block_rows;
-  for (std::size_t b = first_block; b < last_block; ++b) {
+  for (std::size_t b = 0; b < run.blocks.size(); ++b) {
     auto [s_from, s_to] =
         block_slice(run, b, [](const V2Block& x) { return x.starts_off; },
                     run.starts_len);
@@ -412,11 +376,6 @@ void decode_v2_rows(std::span<const std::uint8_t> segment_bytes,
                      : start + static_cast<util::TimeSec>(s.varint());
       util::TimeSec duration = d.varint_signed();
       std::uint64_t attr_count = a.varint();
-      if (row < first || row >= last || (want && !want(row))) {
-        // A skipped row still advances the variable-width cursors.
-        for (std::uint64_t k = 0; k < 2 * attr_count; ++k) a.varint();
-        continue;
-      }
       core::EventInstance e;
       e.name = name;
       e.when.start = start;
@@ -446,7 +405,7 @@ void decode_v2_rows(std::span<const std::uint8_t> segment_bytes,
         }
         e.attrs.emplace(footer.strings[key_id], footer.strings[value_id]);
       }
-      sink(row, std::move(e), loc);
+      sink(std::move(e), loc);
     }
   }
 }

@@ -17,16 +17,15 @@
 //
 // — and the footer carries, per block of kV2BlockRows rows, a zone map
 // (min/max start, min/max location id, a name bitmap, and the byte offset
-// of the block's slice in each variable-width column). A window query
-// binary-searches the zone maps and never touches the bytes of a block
-// whose [min_start, max_start] range misses the window; a per-name query
-// touches only the runs of that name. Block-restarting deltas make every
-// block independently decodable, so skipped means skipped.
+// of the block's slice in each variable-width column). Block-restarting
+// deltas make every block independently decodable. Readers decode whole
+// runs; the zone maps are what `store verify --deep` recomputes and
+// `store inspect` prints.
 //
 // Integrity: the footer (dictionaries + zone maps) rides the sealed
-// trailer's CRC; each run's column region additionally
-// carries its own CRC32C, checked by verify_store (the query path is
-// bounds-checked but does not re-checksum — see docs/STORAGE.md).
+// trailer's CRC; each run's column region additionally carries its own
+// CRC32C, checked before every full decode (SegmentReader::read_all_events,
+// verify_store). The decoder itself is bounds-checked besides.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +39,9 @@
 
 namespace grca::storage {
 
-class SegmentReader;
-
-/// Rows per v2 block (one zone-map entry each). A block is the unit a
-/// query must walk even when it wants one row (variable-width columns
-/// decode from the block start), and columnar rows are cheap enough that
-/// 16-row blocks keep the zone maps ~3 bytes/row.
+/// Rows per v2 block (one zone-map entry each). Variable-width columns
+/// decode from a block's start, and 16-row blocks keep the zone maps
+/// ~3 bytes/row.
 inline constexpr std::uint32_t kV2BlockRows = 16;
 
 /// Zone map + column slice directory for one block of kV2BlockRows rows.
@@ -68,7 +64,7 @@ struct V2Block {
 struct V2Run {
   std::uint32_t name_id = 0;       // into V2Footer::names
   std::uint64_t count = 0;         // rows
-  util::TimeSec max_duration = 0;  // longest instance (query lower bound)
+  util::TimeSec max_duration = 0;  // longest instance
   std::uint64_t region_off = 0;    // absolute file offset of the region
   // Column buffer lengths; the region is [starts][durations][locs][attrs]
   // and region_len() must tile the file between neighbouring runs.
@@ -113,30 +109,14 @@ std::vector<std::uint8_t> encode_v2_footer(const V2Footer& footer);
 /// do not tile).
 V2Footer decode_v2_footer(std::span<const std::uint8_t> payload);
 
-/// Decodes rows [first, last) of `run` in stored order, passing each
-/// materialized event to `sink(row_index, event, location_dict_id)` — the
-/// third argument is the row's id into V2Footer::locations, so callers can
-/// translate via a precomputed dictionary map instead of re-hashing the
-/// Location. When `want` is non-empty, rows in range for which it returns
-/// false are skipped exactly like out-of-range rows: their variable-width
-/// cursors advance but no event is built (the basis of filter-before-
-/// materialize queries). Bounds-checked: corrupt column bytes throw
-/// StorageError, never fault. `segment_bytes` is the whole mapped file.
-void decode_v2_rows(std::span<const std::uint8_t> segment_bytes,
-                    const V2Footer& footer, const V2Run& run,
-                    std::uint64_t first, std::uint64_t last,
-                    const std::function<void(std::uint64_t,
-                                             core::EventInstance,
-                                             core::LocId)>& sink,
-                    const std::function<bool(std::uint64_t)>& want = {});
-
-/// Decodes only the timestamp columns of blocks [first_block, last_block)
-/// into caller-provided contiguous arrays indexed by row: starts[i] and
-/// ends[i] (= start + duration). This is the cheap tier a window query
-/// scans allocation-free before materializing any row.
-void decode_v2_timestamps(std::span<const std::uint8_t> segment_bytes,
-                          const V2Run& run, std::size_t first_block,
-                          std::size_t last_block, util::TimeSec* starts,
-                          util::TimeSec* ends);
+/// Decodes every row of `run` in stored order, passing each event to
+/// `sink(event, location_dict_id)` — the second argument is the row's id
+/// into V2Footer::locations, which deep verification checks against the
+/// zone maps. Bounds-checked: corrupt column bytes throw StorageError,
+/// never fault. `segment_bytes` is the whole mapped file.
+void decode_v2_rows(
+    std::span<const std::uint8_t> segment_bytes, const V2Footer& footer,
+    const V2Run& run,
+    const std::function<void(core::EventInstance, core::LocId)>& sink);
 
 }  // namespace grca::storage

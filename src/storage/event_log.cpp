@@ -259,9 +259,8 @@ void check_sealed(const SegmentReader& seg, VerifyReport& report,
       row_locs.reserve(run.count);
     }
     try {
-      decode_v2_rows(bytes, footer, run, 0, run.count,
-                     [&](std::uint64_t, core::EventInstance e,
-                         core::LocId loc) {
+      decode_v2_rows(bytes, footer, run,
+                     [&](core::EventInstance e, core::LocId loc) {
                        if (deep) {
                          rows.push_back(std::move(e));
                          row_locs.push_back(loc);

@@ -106,10 +106,16 @@ const V2Footer& SegmentReader::v2_footer() const {
 std::vector<core::EventInstance> SegmentReader::read_all_events() const {
   std::vector<core::EventInstance> events;
   events.reserve(v2_footer().event_count);
+  std::span<const std::uint8_t> bytes = file_.bytes();
   for (const V2Run& run : v2_footer_.runs) {
-    decode_v2_rows(file_.bytes(), v2_footer_, run, 0, run.count,
-                   [&events](std::uint64_t, core::EventInstance e,
-                             core::LocId) {
+    if (crc32c(bytes.data() + run.region_off, run.region_len()) !=
+        run.region_crc) {
+      throw StorageError("storage: " + path_.string() + " run '" +
+                         v2_footer_.names[run.name_id] +
+                         "': column region checksum mismatch");
+    }
+    decode_v2_rows(bytes, v2_footer_, run,
+                   [&events](core::EventInstance e, core::LocId) {
                      events.push_back(std::move(e));
                    });
   }

@@ -75,8 +75,9 @@ class SegmentReader {
   Scan scan_frames() const;
 
   /// Every event of a *sealed* segment in stored order (a full columnar
-  /// decode). Unlike scan_frames, any damage throws StorageError — a
-  /// sealed segment has no legitimate torn tail.
+  /// decode, each run's column region checked against its CRC32C first).
+  /// Unlike scan_frames, any damage throws StorageError — a sealed segment
+  /// has no legitimate torn tail.
   std::vector<core::EventInstance> read_all_events() const;
 
  private:

@@ -29,9 +29,9 @@
 //       the given diagnosed cause ("unknown" works). --metrics-out dumps
 //       the metrics registry after the run (FILE ending in .json selects
 //       JSON, anything else Prometheus text). --store serves events from a
-//       persisted event log (mmap-backed) instead of re-extracting them —
-//       verdicts are byte-identical either way. --span-log records stage
-//       spans as JSONL (convert with `grca spans`).
+//       persisted event log (decoded at open) instead of re-extracting
+//       them — verdicts are byte-identical either way. --span-log records
+//       stage spans as JSONL (convert with `grca spans`).
 //
 //   grca metrics --study bgp|cdn|pim|innet --data DIR [--threads N]
 //                [--format prometheus|json]
@@ -108,7 +108,8 @@
 //       Operate on a persisted event log. `inspect` prints per-segment
 //       summaries (sequence, events, names, watermark, bytes; for sealed
 //       segments also dictionary and zone-map sizes plus per-name run
-//       summaries: rows, blocks, start range, column-region bytes).
+//       summaries: rows, blocks, start range, column-region bytes; a WAL
+//       torn inside its header is reported as a torn tail).
 //       `verify` runs the full integrity sweep — header/footer/WAL-frame
 //       CRCs, column-region CRCs, full structural decode — and exits
 //       nonzero on any corruption; `--deep` additionally recomputes footer
@@ -453,8 +454,8 @@ StudyRun run_study(const Args& args) {
       std::make_unique<sim::ReplayCorpus>(sim::read_corpus(data));
   const topology::Network& net = run.corpus->network;
   if (auto it = args.values.find("store"); it != args.values.end()) {
-    // Serve events from the persisted log (mmap-backed) instead of
-    // re-extracting; the pipeline still replays routing state.
+    // Serve events from the persisted log instead of re-extracting; the
+    // pipeline still replays routing state.
     auto pstore = std::make_shared<storage::PersistentEventStore>(
         storage::PersistentEventStore::open(fs::path(it->second.back())));
     run.pipeline = std::make_unique<apps::Pipeline>(net, run.corpus->records,
@@ -929,6 +930,16 @@ int cmd_store(const std::string& action, const Args& args) {
     if (wal) segments.push_back(dir / storage::kWalName);
     std::uint64_t total_events = 0;
     for (const fs::path& path : segments) {
+      if (std::uintmax_t size = fs::file_size(path);
+          path.filename() == storage::kWalName &&
+          size < storage::kSegmentHeaderBytes) {
+        // A crash while the WAL was being rewritten tore its header: the
+        // whole file is a recoverable torn tail, as verify reports it.
+        std::cout << path.filename().string() << ": " << size
+                  << " bytes, live WAL: 0 valid frames, torn tail " << size
+                  << " bytes (inside the header)\n";
+        continue;
+      }
       storage::SegmentReader seg = storage::SegmentReader::open(path);
       std::cout << path.filename().string() << ": seq " << seg.seq() << ", "
                 << seg.size() << " bytes, "

@@ -2,9 +2,9 @@
 // SPDX-License-Identifier: MIT
 //
 // A small fixed-size thread pool for the platform's embarrassingly-parallel
-// hot paths: per-symptom diagnosis (RcaEngine::diagnose_all) and
-// per-application fan-out (Pipeline). The streaming engine and the feed
-// replayer use none; they run on their caller's thread. Deliberately
+// hot path: per-symptom diagnosis (RcaEngine::diagnose_all). The streaming
+// engine and the feed replayer use none; they run on their caller's
+// thread. Deliberately
 // simple: one shared FIFO queue, chunked parallel_for, no work stealing —
 // diagnosis tasks are coarse enough (microseconds to milliseconds each) that
 // a shared queue never becomes the bottleneck at the core counts we target.

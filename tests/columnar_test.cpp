@@ -2,12 +2,11 @@
 // SPDX-License-Identifier: MIT
 //
 // Tests for the v2 columnar sealed-block format: varint/zigzag codec
-// boundaries, whole-segment round trips, zone-map pruning identity (on ==
-// off, with the skip counters proving pruning actually ran), an exhaustive
-// single-bit corruption sweep (every flipped bit must fail verification
-// cleanly — no crash, no silent acceptance), footer-statistic drift that
-// only --deep verification can catch, and the rejection of v1 sealed
-// segments.
+// boundaries, whole-segment round trips, column damage failing the open,
+// an exhaustive single-bit corruption sweep (every flipped bit must fail
+// verification cleanly — no crash, no silent acceptance), footer-statistic
+// drift that only --deep verification can catch, and the rejection of v1
+// sealed segments.
 
 #include <gtest/gtest.h>
 
@@ -173,40 +172,37 @@ TEST(ColumnarSegment, RoundTripsEveryRowInStoredOrder) {
   }
 }
 
-// ---------------------------------------------------------- zone pruning --
+// ----------------------------------------------------- column damage --
 
-TEST(ColumnarSegment, ZonePruningOnAndOffAnswerIdentically) {
+// open() reads every byte of a sealed segment, so it checks each run's
+// column region CRC before decoding: a flipped bit in the columns must
+// fail the open with a StorageError naming the file, never load silently.
+TEST(ColumnarSegment, ColumnDamageFailsOpenNamingTheFile) {
   util::Rng rng(0xC02);
   util::TimeSec watermark = 0;
   core::EventStore mem = build_store(rng, 3000, 5, 20, watermark);
-  TempDir dir("zp");
+  TempDir dir("cols");
   write_sealed_store(dir.path, mem, watermark);
+  auto segments = list_segments(dir.path);
+  ASSERT_EQ(segments.size(), 1u);
+  const fs::path seg_path = segments.front();
 
-  PersistentEventStore pruned = PersistentEventStore::open(dir.path);
-  PersistentEventStore scanned = PersistentEventStore::open(dir.path);
-  scanned.set_zone_pruning(false);
+  // Flip one bit in the middle of the last run's attrs column.
+  const V2Run run = SegmentReader::open(seg_path).v2_footer().runs.back();
+  ASSERT_GT(run.attrs_len, 0u);
+  std::vector<std::uint8_t> bytes = read_file(seg_path);
+  bytes[run.region_off + run.region_len() - run.attrs_len / 2 - 1] ^= 0x01;
+  write_file(seg_path, bytes);
 
-  util::Rng qrng(0xC03);
-  std::vector<std::string> names = mem.event_names();
-  util::TimeSec base = util::make_utc(2026, 6, 1);
-  for (int q = 0; q < 200; ++q) {
-    const std::string& name = names[qrng.below(names.size())];
-    util::TimeSec from = base + qrng.range(-1800, 24 * 3600);
-    util::TimeSec to = from + qrng.range(60, 3600);
-    auto want = mem.query(name, from, to);
-    auto a = pruned.query(name, from, to);
-    auto b = scanned.query(name, from, to);
-    ASSERT_EQ(a.size(), want.size()) << name;
-    ASSERT_EQ(b.size(), want.size()) << name;
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      ASSERT_EQ(*a[k], *want[k]);
-      ASSERT_EQ(*b[k], *want[k]);
-    }
+  try {
+    (void)PersistentEventStore::open(dir.path);
+    ADD_FAILURE() << "a sealed segment with damaged columns was opened";
+  } catch (const StorageError& e) {
+    EXPECT_NE(std::string(e.what()).find(seg_path.string()),
+              std::string::npos)
+        << e.what();
   }
-  // Pruning actually pruned; the unpruned store really scanned everything.
-  EXPECT_GT(pruned.query_stats().zone_blocks_skipped.load(), 0u);
-  EXPECT_EQ(scanned.query_stats().zone_blocks_skipped.load(), 0u);
-  EXPECT_GT(scanned.query_stats().zone_blocks_considered.load(), 0u);
+  EXPECT_FALSE(verify_store(dir.path).ok());
 }
 
 // ------------------------------------------------------- corruption sweep --
@@ -214,7 +210,7 @@ TEST(ColumnarSegment, ZonePruningOnAndOffAnswerIdentically) {
 // Every single-bit flip anywhere in a v2 segment must be caught by
 // verify_store (the format's CRCs tile the whole file: header CRC, per-run
 // region CRCs, footer trailer CRC), and must never crash the reader — open
-// and query either succeed on checksum-blind paths or throw StorageError.
+// and query either succeed or throw StorageError.
 TEST(ColumnarSegment, EveryBitFlipFailsVerificationCleanly) {
   util::Rng rng(0xC04);
   util::TimeSec watermark = 0;

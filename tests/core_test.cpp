@@ -140,17 +140,6 @@ TEST(EventStore, LongDurationInstanceFound) {
   EXPECT_EQ(store.query("e", 9000, 9500).size(), 1u);
 }
 
-TEST(EventStore, PredicateFilter) {
-  EventStore store;
-  store.add(make_event("e", 100, 200, "r1"));
-  store.add(make_event("e", 100, 200, "r2"));
-  auto got = store.query("e", 0, 300, [](const EventInstance& e) {
-    return e.where.a == "r2";
-  });
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0]->where.a, "r2");
-}
-
 TEST(EventStore, UnknownEventEmpty) {
   EventStore store;
   EXPECT_TRUE(store.query("nope", 0, 100).empty());

@@ -1,25 +1,20 @@
 // Copyright (c) 2026 The G-RCA Reproduction Authors.
 // SPDX-License-Identifier: MIT
 //
-// Tests for the parallel diagnosis paths: RcaEngine::diagnose_all fan-out,
-// the EventStore freeze-then-query contract and the pipeline
-// per-application fan-out. The determinism tests assert the
-// parallel runs are *identical* to serial — same diagnoses, same instance
-// pointers, same order. The TSan CI job runs this binary to prove the
-// concurrent paths race-free.
+// Tests for the parallel diagnosis paths: RcaEngine::diagnose_all fan-out
+// and the EventStore freeze-then-query contract. The determinism tests
+// assert the parallel runs are *identical* to serial — same diagnoses, same
+// instance pointers, same order. The TSan CI job runs this binary to prove
+// the concurrent paths race-free.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 
-#include "apps/bgp_flap_app.h"
-#include "apps/pipeline.h"
 #include "core/engine.h"
 #include "core/rule_dsl.h"
 #include "routing/bgp.h"
 #include "routing/ospf.h"
-#include "simulation/workloads.h"
-#include "topology/config.h"
 #include "topology/topo_gen.h"
 #include "util/rng.h"
 
@@ -188,43 +183,6 @@ TEST(EventStoreFreeze, WarmMakesQueriesReadOnly) {
   }
   for (std::thread& th : threads) th.join();
   for (std::size_t count : counts) EXPECT_EQ(count, 100u);
-}
-
-/// A small BGP study for the pipeline fan-out test.
-struct BgpScenario {
-  t::Network sim_net;
-  t::Network rca_net;
-  sim::StudyOutput study;
-
-  BgpScenario() {
-    t::TopoParams tp;
-    tp.pops = 3;
-    tp.pers_per_pop = 3;
-    tp.customers_per_per = 4;
-    sim_net = t::generate_isp(tp);
-    rca_net = t::build_network_from_configs(
-        t::render_all_configs(sim_net), t::render_layer1_inventory(sim_net));
-    sim::BgpStudyParams params;
-    params.days = 2;
-    params.target_symptoms = 80;
-    study = sim::run_bgp_study(sim_net, params);
-  }
-};
-
-TEST(ParallelPipeline, DiagnoseAppsMatchesPerAppSerial) {
-  BgpScenario scenario;
-  collector::ExtractOptions extract;
-  extract.flap_pair_window = 600;
-  apps::Pipeline pipeline(scenario.rca_net, scenario.study.records, extract);
-
-  auto serial = pipeline.diagnose_all(apps::bgp::build_graph(), 1);
-  std::vector<core::DiagnosisGraph> graphs;
-  graphs.push_back(apps::bgp::build_graph());
-  graphs.push_back(apps::bgp::build_graph());
-  auto fanned = pipeline.diagnose_apps(std::move(graphs), 4);
-  ASSERT_EQ(fanned.size(), 2u);
-  expect_identical(serial, fanned[0]);
-  expect_identical(serial, fanned[1]);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "apps/bgp_flap_app.h"
 #include "apps/cdn_app.h"
 #include "apps/innet_app.h"
@@ -147,12 +149,12 @@ TEST_P(StudyProperty, EveryTruthSymptomHasAnExtractedInstance) {
   apps::Pipeline pipeline(net, study.records);
   std::size_t missing = 0;
   for (const sim::TruthEntry& e : study.truth) {
-    auto candidates = pipeline.store().query(
-        e.symptom, e.time - 30, e.time + 30,
-        [&](const core::EventInstance& inst) {
-          return inst.where.a == e.router;
-        });
-    missing += candidates.empty();
+    auto candidates =
+        pipeline.store().query(e.symptom, e.time - 30, e.time + 30);
+    missing += std::none_of(candidates.begin(), candidates.end(),
+                            [&](const core::EventInstance* inst) {
+                              return inst->where.a == e.router;
+                            });
   }
   // Symptom extraction may merge rapid repeats; tolerate a tiny residue.
   EXPECT_LE(missing, study.truth.size() / 20)

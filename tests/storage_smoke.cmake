@@ -1,7 +1,8 @@
 # The on-disk storage gate, end to end through the grca CLI. A sealed store
 # and a streaming write-ahead log must both diagnose byte-identically to
 # re-extraction from the raw corpus, across a process boundary and through
-# compaction, and a corrupted segment must fail verification.
+# compaction, a WAL torn inside its header must stay recoverable, and a
+# corrupted segment must fail verification.
 #   cmake -DGRCA=path/to/grca -DPYTHON=path/to/python3 -DWORK=scratch/dir
 #         -P storage_smoke.cmake
 # WORK is emptied first and left behind for inspection.
@@ -56,6 +57,28 @@ run_grca(out replay --study bgp --data store-data --rate max
 run_grca(out store verify --dir stream-log)
 run_grca(out diagnose --study bgp --data store-data --store stream-log)
 expect_fresh(streamed "${out}")
+
+# A WAL torn inside its 24-byte header (a crash while it was being
+# rewritten) is a recoverable torn tail for every store command. The
+# replay's last seal left the WAL frameless, so nothing is lost.
+file(COPY "${WORK}/stream-log/" DESTINATION "${WORK}/torn-log")
+execute_process(
+  COMMAND "${PYTHON}" -c
+          "import sys; open(sys.argv[1], 'r+b').truncate(10)"
+          "${WORK}/torn-log/wal.grseg"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not truncate ${WORK}/torn-log/wal.grseg")
+endif()
+run_grca(out store inspect --dir torn-log)
+if(NOT out MATCHES "wal.grseg: [^\n]*torn tail 10 bytes")
+  message(FATAL_ERROR "store inspect did not report the torn WAL:\n${out}")
+endif()
+run_grca(out store verify --dir torn-log)
+run_grca(out diagnose --study bgp --data store-data --store torn-log)
+expect_fresh(torn "${out}")
+run_grca(out store compact --dir torn-log)
+
 run_grca(out store compact --dir stream-log)
 run_grca(out store verify --dir stream-log --deep)
 run_grca(out diagnose --study bgp --data store-data --store stream-log)

@@ -3,7 +3,7 @@
 //
 // Tests for the persistent event store: CRC32C vectors, codec round-trip
 // properties, bit-flip corruption rejection, torn-tail recovery sweeps,
-// query equivalence between the mmap-backed and in-memory stores,
+// query equivalence between the persisted and in-memory stores,
 // byte-identical diagnosis across backends, streaming kill-and-resume,
 // verification, and compaction.
 
@@ -237,7 +237,7 @@ TEST(EventLog, TornTailRecoverySweepRecoversExactPrefix) {
         whole_frames == 0 ? kSegmentHeaderBytes : frame_end[whole_frames - 1];
     std::size_t torn = cut < kSegmentHeaderBytes ? cut : cut - valid_end;
 
-    // Read path: the mmap-backed store adopts the valid prefix read-only.
+    // Read path: the persisted store adopts the valid prefix read-only.
     PersistentEventStore store = PersistentEventStore::open(dir.path);
     ASSERT_EQ(store.total_instances(), whole_frames) << "cut=" << cut;
     EXPECT_EQ(store.stats().wal_events, whole_frames);
