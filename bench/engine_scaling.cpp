@@ -173,8 +173,8 @@ std::string render_diagnoses(const std::vector<core::Diagnosis>& batch) {
 
 /// Full diagnose_all over the standard scenario with --threads workers.
 /// Throughput (items/s) is symptoms diagnosed per wall-clock second: the
-/// work runs on pool threads, so the main thread's CPU time would overstate
-/// it.
+/// work runs on several worker threads, so the main thread's CPU time would
+/// overstate it.
 /// Shared across the diagnose_all benches so setup is paid once.
 ScaledStore& scaling_store() {
   static ScaledStore scaled(bench_net(), 200000);  // ~2000 symptoms

@@ -153,20 +153,21 @@ int main(int argc, char** argv) {
   // Cached, cold: a fresh engine per rep so every rep pays the misses.
   bool identical = true;
   double cold_s = 1e300;
-  core::JoinCache::Stats cold_stats{};
+  core::JoinMemo::Stats cold_stats{};
   for (int rep = 0; rep < kReps; ++rep) {
     core::RcaEngine engine(probe_graph(), s.store, s.mapper);
     auto t0 = std::chrono::steady_clock::now();
     auto batch = engine.diagnose_all(1);
     cold_s = std::min(cold_s, seconds_since(t0));
     identical &= render_diagnoses(batch) == reference;
-    cold_stats = engine.join_cache().stats();
+    cold_stats = engine.join_stats();
   }
 
-  // Cached, warm + 4-thread: one engine reused, so the memo is populated.
+  // Cached, warm + 4-thread: one engine reused, so its worker memos stay
+  // populated across calls.
   double warm_s = 1e300;
   double mt_s = 1e300;
-  core::JoinCache::Stats final_stats{};
+  core::JoinMemo::Stats final_stats{};
   {
     core::RcaEngine engine(probe_graph(), s.store, s.mapper);
     identical &= render_diagnoses(engine.diagnose_all(1)) == reference;
@@ -182,7 +183,7 @@ int main(int argc, char** argv) {
       mt_s = std::min(mt_s, seconds_since(t0));
       identical &= render_diagnoses(batch) == reference;
     }
-    final_stats = engine.join_cache().stats();
+    final_stats = engine.join_stats();
   }
 
   double speedup_cold = uncached_s / cold_s;
@@ -204,11 +205,10 @@ int main(int argc, char** argv) {
   std::fputs(table.render("spatial-join cache speedup").c_str(), stdout);
   std::printf("verdicts vs uncached reference: %s\n",
               identical ? "byte-identical" : "DIVERGED");
-  std::printf(
-      "cache: %llu hits / %llu misses (%.1f%% hit rate), %llu entries\n",
-      static_cast<unsigned long long>(final_stats.hits),
-      static_cast<unsigned long long>(final_stats.misses), 100.0 * hit_rate,
-      static_cast<unsigned long long>(final_stats.entries));
+  std::printf("cache: %llu hits / %llu misses (%.1f%% hit rate)\n",
+              static_cast<unsigned long long>(final_stats.hits),
+              static_cast<unsigned long long>(final_stats.misses),
+              100.0 * hit_rate);
 
   const bool faster = cold_s < uncached_s;
   {
@@ -223,7 +223,6 @@ int main(int argc, char** argv) {
         << "  \"hits\": " << final_stats.hits << ",\n"
         << "  \"misses\": " << final_stats.misses << ",\n"
         << "  \"hit_rate\": " << hit_rate << ",\n"
-        << "  \"entries\": " << final_stats.entries << ",\n"
         << "  \"cold_run_hits\": " << cold_stats.hits << ",\n"
         << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
         << "  \"cached_faster\": " << (faster ? "true" : "false") << "\n"

@@ -50,7 +50,7 @@ Pipeline::Pipeline(const topology::Network& net,
   }
   // Sort and intern everything now, while construction is still
   // single-threaded: diagnose_all then starts from a warm store and the
-  // engines' join caches key on interned ids immediately.
+  // engines' join memos key on interned ids immediately.
   // (Callers adding more events via store() just re-dirty the buckets.)
   store_.warm();
 }

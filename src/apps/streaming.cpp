@@ -128,7 +128,7 @@ void StreamingRca::freeze_until(TimeSec new_cut) {
   // final and strictly ordered. Because every replayed change time is >= the
   // previous freeze cut — and all diagnosed symptoms are older than that
   // cut — replay only appends routing epochs: epoch_at(t) for already-
-  // diagnosed times never renumbers, so the engine's join cache stays valid
+  // diagnosed times never renumbers, so the engine's join memo stays valid
   // across batches without invalidation.
   auto route_first =
       routing_buffer_.begin() + static_cast<std::ptrdiff_t>(routing_head_);

@@ -4,12 +4,13 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <deque>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/thread_pool.h"
+#include "util/fork_join.h"
 
 namespace grca::core {
 
@@ -33,20 +34,31 @@ RcaEngine::RcaEngine(DiagnosisGraph graph, const EventStoreView& store,
                      const LocationMapper& mapper)
     : graph_(std::move(graph)),
       store_(store),
-      mapper_(mapper),
-      join_cache_(std::make_unique<JoinCache>(mapper, store.locations())) {
+      mapper_(mapper) {
   graph_.validate();
+  memos_.emplace_back(mapper, store.locations());
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     diagnoses_total_ = &reg->counter("grca_engine_diagnoses_total");
     rule_evals_total_ = &reg->counter("grca_engine_rule_evals_total");
     evidence_matches_total_ =
         &reg->counter("grca_engine_evidence_matches_total");
+    join_hits_total_ = &reg->counter("grca_join_cache_hits");
+    join_misses_total_ = &reg->counter("grca_join_cache_misses");
     diagnosis_seconds_ = &reg->histogram("grca_engine_diagnosis_seconds");
   }
 }
 
+JoinMemo::Stats RcaEngine::join_stats() const noexcept {
+  JoinMemo::Stats sum;
+  for (const JoinMemo& memo : memos_) {
+    sum.hits += memo.stats().hits;
+    sum.misses += memo.stats().misses;
+  }
+  return sum;
+}
+
 void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
-                     JoinScratch& scratch) const {
+                     JoinMemo& memo, JoinScratch& scratch) const {
   // Conservative candidate window: an instance [a, b] can only join when it
   // overlaps the symptom's expanded window widened by the diagnostic-side
   // margins (see temporal.h for the expansion algebra).
@@ -60,18 +72,17 @@ void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
     // Spatial verdicts are a function of (anchor location, candidate
     // location, level, anchor start) — fixed here except the candidate
     // location, so candidates sharing one are grouped and decided once,
-    // through the epoch-stamped JoinCache memo.
-    const LocId anchor_id = join_cache_->id_of(anchor);
+    // through the worker's epoch-stamped join memo.
+    const LocId anchor_id = memo.id_of(anchor);
     const util::TimeSec at = anchor.when.start;
     scratch.verdicts.clear();
     for (const EventInstance* cand : scratch.candidates) {
       if (cand == &anchor) continue;  // an instance never explains itself
       if (!rule.temporal.joined(anchor.when, cand->when)) continue;
-      const LocId cand_id = join_cache_->id_of(*cand);
+      const LocId cand_id = memo.id_of(*cand);
       auto [it, fresh] = scratch.verdicts.try_emplace(cand_id, false);
       if (fresh) {
-        it->second =
-            join_cache_->joins(anchor_id, cand_id, rule.join_level, at);
+        it->second = memo.joins(anchor_id, cand_id, rule.join_level, at);
       }
       if (it->second) scratch.result.push_back(cand);
     }
@@ -88,7 +99,12 @@ void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
   }
 }
 
-Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
+Diagnosis RcaEngine::diagnose(const EventInstance& symptom) {
+  return diagnose_with(symptom, memos_.front());
+}
+
+Diagnosis RcaEngine::diagnose_with(const EventInstance& symptom,
+                                   JoinMemo& memo) const {
   auto t0 = std::chrono::steady_clock::now();
   if (symptom.name != graph_.root()) {
     throw ConfigError("diagnose: symptom '" + symptom.name +
@@ -96,8 +112,9 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
   }
   // The cached join path keys on interned where_ids, which warm() fills in;
   // on an already-warm store this is a read-only flag sweep, so concurrent
-  // diagnose() calls (whose stores are warmed up front) stay race-free.
+  // workers (whose store diagnose_all warmed up front) stay race-free.
   if (join_cache_enabled_) store_.warm();
+  const JoinMemo::Stats memo_before = memo.stats();
   JoinScratch scratch;
   Diagnosis result;
   result.symptom = symptom;
@@ -117,8 +134,8 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
   std::vector<std::unordered_set<const EventInstance*>> node_instance_sets(1);
   std::deque<std::size_t> frontier = {0};
   std::unordered_set<std::string> has_evidenced_child;
-  // Accumulated locally, published as two atomic adds at the end — the BFS
-  // loop stays free of shared-memory traffic.
+  // Accumulated locally and published once at the end (as are the memo's
+  // hits and misses) — the BFS loop stays free of shared-memory traffic.
   std::uint64_t rule_evals = 0;
   std::uint64_t evidence_matches = 0;
 
@@ -136,7 +153,7 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
       std::vector<const EventInstance*> matched;
       std::unordered_set<const EventInstance*> matched_set;
       for (const EventInstance* anchor : parent_instances) {
-        join(*anchor, rule, scratch);
+        join(*anchor, rule, memo, scratch);
         for (const EventInstance* inst : scratch.result) {
           if (matched_set.insert(inst).second) matched.push_back(inst);
         }
@@ -194,28 +211,40 @@ Diagnosis RcaEngine::diagnose(const EventInstance& symptom) const {
     diagnoses_total_->inc();
     rule_evals_total_->inc(rule_evals);
     evidence_matches_total_->inc(evidence_matches);
+    join_hits_total_->inc(memo.stats().hits - memo_before.hits);
+    join_misses_total_->inc(memo.stats().misses - memo_before.misses);
     diagnosis_seconds_->observe(result.elapsed_ms / 1000.0);
   }
   return result;
 }
 
-std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) const {
+std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) {
   std::span<const EventInstance> symptoms = store_.all(graph_.root());
-  std::vector<Diagnosis> out(symptoms.size());
-  if (threads == 0) threads = util::ThreadPool::default_threads();
-  if (threads <= 1 || symptoms.size() < 2) {
-    for (std::size_t i = 0; i < symptoms.size(); ++i) {
-      out[i] = diagnose(symptoms[i]);
-    }
-    return out;
-  }
+  const std::size_t n = symptoms.size();
+  std::vector<Diagnosis> out(n);
+  if (threads == 0) threads = util::hardware_threads();
+  const unsigned workers =
+      static_cast<unsigned>(std::clamp<std::size_t>(n, 1, threads));
   // Pay every lazy bucket sort from this thread; afterwards all store
   // queries issued by the workers are read-only.
   store_.warm();
-  util::ThreadPool pool(
-      static_cast<unsigned>(std::min<std::size_t>(threads, symptoms.size())));
-  pool.parallel_for(0, symptoms.size(),
-                    [&](std::size_t i) { out[i] = diagnose(symptoms[i]); });
+  while (memos_.size() < workers) {
+    memos_.emplace_back(mapper_, store_.locations());
+  }
+  // Workers claim contiguous chunks, about four per worker, from one
+  // counter. Neighbouring symptoms tend to share an incident, so a chunk
+  // keeps their repeated joins inside one memo.
+  const std::size_t chunk = (n + 4 * workers - 1) / (4 * workers);
+  std::atomic<std::size_t> next{0};
+  util::fork_join(workers, [&](unsigned w) {
+    JoinMemo& memo = memos_[w];
+    for (std::size_t lo = next.fetch_add(chunk, std::memory_order_relaxed);
+         lo < n; lo = next.fetch_add(chunk, std::memory_order_relaxed)) {
+      for (std::size_t i = lo; i < std::min(n, lo + chunk); ++i) {
+        out[i] = diagnose_with(symptoms[i], memo);
+      }
+    }
+  });
   return out;
 }
 

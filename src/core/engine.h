@@ -9,7 +9,7 @@
 #pragma once
 
 #include <chrono>
-#include <memory>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -17,7 +17,7 @@
 
 #include "core/diagnosis_graph.h"
 #include "core/event_store.h"
-#include "core/join_cache.h"
+#include "core/join_memo.h"
 #include "core/location.h"
 #include "obs/metrics.h"
 
@@ -67,32 +67,35 @@ class RcaEngine {
   RcaEngine(DiagnosisGraph graph, const EventStoreView& store,
             const LocationMapper& mapper);
 
-  /// Diagnoses a single symptom instance (its name must equal graph root).
-  /// Thread-safe once the store has been warmed/finalized (see EventStore's
-  /// freeze-then-query contract); the graph, mapper and routing simulators
-  /// are only read.
-  Diagnosis diagnose(const EventInstance& symptom) const;
+  /// Diagnoses a single symptom instance (its name must equal graph root)
+  /// through the engine's first join memo, so repeated calls reuse each
+  /// other's spatial verdicts. One caller at a time: the memo is not
+  /// synchronized. The graph, store, mapper and routing simulators are only
+  /// read.
+  Diagnosis diagnose(const EventInstance& symptom);
 
-  /// Diagnoses every stored instance of the root symptom event. With
-  /// threads > 1 the symptoms are fanned out over a thread pool (0 means
-  /// hardware concurrency); the store is warmed first so queries are
-  /// read-only. The result is identical — same diagnoses, same order — for
-  /// every thread count.
-  std::vector<Diagnosis> diagnose_all(unsigned threads = 1) const;
+  /// Diagnoses every stored instance of the root symptom event. The store
+  /// is warmed first so queries are read-only; with threads > 1 the
+  /// symptoms are fanned out over that many workers (0 means hardware
+  /// concurrency), the caller being worker 0, each worker with its own join
+  /// memo kept for the engine's lifetime. The result is identical — same
+  /// diagnoses, same order — for every thread count. One caller at a time.
+  std::vector<Diagnosis> diagnose_all(unsigned threads = 1);
 
   const DiagnosisGraph& graph() const noexcept { return graph_; }
 
   /// Enables/disables the memoized spatial-join layer (enabled by default).
-  /// The uncached path is the reference implementation the cache must match
+  /// The uncached path is the reference implementation the memo must match
   /// byte for byte; benches and the cache-correctness tests flip this.
-  /// Not thread-safe against concurrent diagnose() calls.
+  /// Not to be called during a diagnosis.
   void set_join_cache_enabled(bool enabled) noexcept {
     join_cache_enabled_ = enabled;
   }
   bool join_cache_enabled() const noexcept { return join_cache_enabled_; }
 
-  /// The engine's spatial-join memo (hit/miss/entry stats for benches).
-  const JoinCache& join_cache() const noexcept { return *join_cache_; }
+  /// Join-memo hits and misses summed over every worker's memo, since
+  /// construction (for benches and tests; not during a diagnosis).
+  JoinMemo::Stats join_stats() const noexcept;
 
  private:
   /// Reused per diagnose() call so the hot join loop performs no
@@ -108,21 +111,28 @@ class RcaEngine {
   /// Fills scratch.result with the instances of `rule.diagnostic` joined
   /// with `anchor` under the rule.
   void join(const EventInstance& anchor, const DiagnosisRule& rule,
-            JoinScratch& scratch) const;
+            JoinMemo& memo, JoinScratch& scratch) const;
+
+  /// diagnose() through `memo`; safe to run concurrently with other memos
+  /// once the store is warm.
+  Diagnosis diagnose_with(const EventInstance& symptom, JoinMemo& memo) const;
 
   const DiagnosisGraph graph_;
   const EventStoreView& store_;
   const LocationMapper& mapper_;
-  std::unique_ptr<JoinCache> join_cache_;
+  /// One memo per worker index; deque growth never moves a memo.
+  std::deque<JoinMemo> memos_;
   bool join_cache_enabled_ = true;
 
   // Engine instrumentation, resolved from the installed registry at
   // construction (all-or-nothing: checking one pointer covers the set).
-  // Counters are sharded atomics, so concurrent diagnose() calls from the
-  // parallel fan-out update them race-free.
+  // Counters are sharded atomics, so the parallel fan-out's workers update
+  // them race-free; each diagnosis publishes its tallies once at its end.
   obs::Counter* diagnoses_total_ = nullptr;
   obs::Counter* rule_evals_total_ = nullptr;
   obs::Counter* evidence_matches_total_ = nullptr;
+  obs::Counter* join_hits_total_ = nullptr;
+  obs::Counter* join_misses_total_ = nullptr;
   obs::Histogram* diagnosis_seconds_ = nullptr;
 };
 

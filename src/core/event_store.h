@@ -78,8 +78,8 @@ class EventStore {
 
   /// The interning table covering every stored instance's location once the
   /// store has been warmed (instances added later are interned by the next
-  /// warm()). The table itself is internally synchronized — the JoinCache
-  /// also interns projection results into it during concurrent diagnosis.
+  /// warm()). The table itself is internally synchronized — every
+  /// diagnosis worker's join memo also interns projection results into it.
   LocationTable& locations() const noexcept { return *locations_; }
 
   /// All instances of `name` in start-time order (empty span if none).

@@ -106,7 +106,7 @@ class LocationMapper {
   /// True when projections of this location type can depend on the routing
   /// state at the query time (they resolve endpoints and walk shortest
   /// paths). Every other type projects purely through static topology, so
-  /// its projections are the same at every `t` — the JoinCache keys those
+  /// its projections are the same at every `t` — a JoinMemo keys those
   /// with a zero epoch stamp and reuses them across routing changes.
   static bool path_dependent(LocationType type) noexcept {
     switch (type) {

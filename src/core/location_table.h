@@ -4,8 +4,8 @@
 // Location interning: every distinct Location seen in a run is mapped to a
 // dense LocId exactly once, so the spatial-join hot path compares and hashes
 // 32-bit integers instead of string triples. The EventStore interns every
-// stored instance's location when it is warmed; the JoinCache interns
-// projection results on the fly.
+// stored instance's location when it is warmed; each diagnosis worker's
+// JoinMemo interns projection results on the fly.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ namespace grca::core {
 
 /// Dense identifier of an interned Location. Ids are only meaningful within
 /// the LocationTable that issued them; assignment order is an artifact of
-/// evaluation order and must never influence results (the JoinCache only
+/// evaluation order and must never influence results (a JoinMemo only
 /// relies on id equality <=> Location equality within one table).
 using LocId = std::uint32_t;
 

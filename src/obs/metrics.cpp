@@ -122,14 +122,4 @@ MetricsRegistry* install_registry(MetricsRegistry* registry) noexcept {
   return g_registry.exchange(registry, std::memory_order_acq_rel);
 }
 
-CacheMetrics CacheMetrics::resolve(const std::string& prefix) {
-  CacheMetrics m;
-  if (MetricsRegistry* reg = registry_ptr()) {
-    m.hits = &reg->counter(prefix + "_hits");
-    m.misses = &reg->counter(prefix + "_misses");
-    m.entries = &reg->gauge(prefix + "_entries");
-  }
-  return m;
-}
-
 }  // namespace grca::obs

@@ -182,19 +182,6 @@ MetricsRegistry* registry_ptr() noexcept;
 /// previously installed registry.
 MetricsRegistry* install_registry(MetricsRegistry* registry) noexcept;
 
-/// Hit/miss/size instrumentation bundle for memo caches, resolved from the
-/// currently installed registry as `<prefix>_hits` / `<prefix>_misses`
-/// (counters) and `<prefix>_entries` (gauge). All-or-nothing like the other
-/// instrumentation sites: when observability is disabled every pointer is
-/// null, so callers null-check one member.
-struct CacheMetrics {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Gauge* entries = nullptr;
-
-  static CacheMetrics resolve(const std::string& prefix);
-};
-
 /// RAII install-then-restore, for tests that want a private registry.
 class ScopedRegistry {
  public:

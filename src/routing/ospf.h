@@ -103,7 +103,7 @@ class OspfSim {
   /// at or before it. The counter is constant between changes and advances
   /// exactly when routing state can differ, so anything derived purely from
   /// paths-as-of-t (SPF results, spatial projections) is a function of its
-  /// epoch — the memo key of the SPF cache and the JoinCache. Lock-free
+  /// epoch — the memo key of the SPF cache and of each JoinMemo. Lock-free
   /// read of state mutated only by set_weight(), which must not race with
   /// queries (the class's standing replay-then-diagnose contract).
   std::size_t epoch_at(util::TimeSec time) const noexcept {

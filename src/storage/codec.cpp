@@ -139,6 +139,9 @@ core::EventInstance decode_event(std::span<const std::uint8_t> payload) {
   e.name = in.string();
   e.when.start = in.i64();
   e.when.end = in.i64();
+  if (!e.when.valid()) {
+    throw StorageError("storage: record ends before it starts");
+  }
   std::uint8_t type = in.u8();
   if (type > kMaxLocationType) {
     throw StorageError("storage: unknown location type " +

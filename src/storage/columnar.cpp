@@ -375,6 +375,9 @@ void decode_v2_rows(
       start = i == 0 ? s.raw_i64()
                      : start + static_cast<util::TimeSec>(s.varint());
       util::TimeSec duration = d.varint_signed();
+      if (duration < 0) {
+        throw StorageError("storage: v2 row ends before it starts");
+      }
       std::uint64_t attr_count = a.varint();
       core::EventInstance e;
       e.name = name;

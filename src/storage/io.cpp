@@ -10,15 +10,7 @@
 #include "util/error.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define GRCA_HAVE_MMAP 1
-#include <sys/mman.h>
-#else
-#define GRCA_HAVE_MMAP 0
-#endif
 
 namespace grca::storage {
 
@@ -31,73 +23,6 @@ namespace {
 }
 
 }  // namespace
-
-MappedFile::~MappedFile() {
-#if GRCA_HAVE_MMAP
-  if (mapped_ && data_) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-#endif
-}
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  if (!mapped_ && data_) data_ = fallback_.data();
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this == &other) return *this;
-#if GRCA_HAVE_MMAP
-  if (mapped_ && data_) {
-    ::munmap(const_cast<std::uint8_t*>(data_), size_);
-  }
-#endif
-  data_ = other.data_;
-  size_ = other.size_;
-  mapped_ = other.mapped_;
-  fallback_ = std::move(other.fallback_);
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-  if (!mapped_ && data_) data_ = fallback_.data();
-  return *this;
-}
-
-MappedFile MappedFile::open(const std::filesystem::path& path) {
-  MappedFile f;
-#if GRCA_HAVE_MMAP
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) fail("open", path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    fail("fstat", path);
-  }
-  f.size_ = static_cast<std::size_t>(st.st_size);
-  if (f.size_ == 0) {
-    ::close(fd);
-    return f;
-  }
-  void* p = ::mmap(nullptr, f.size_, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (p != MAP_FAILED) {
-    f.data_ = static_cast<const std::uint8_t*>(p);
-    f.mapped_ = true;
-    return f;
-  }
-#endif
-  f.fallback_ = read_file(path);
-  f.size_ = f.fallback_.size();
-  f.data_ = f.fallback_.data();
-  f.mapped_ = false;
-  return f;
-}
 
 WritableFile::~WritableFile() {
   if (fd_ >= 0) ::close(fd_);

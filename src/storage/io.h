@@ -1,13 +1,10 @@
 // Copyright (c) 2026 The G-RCA Reproduction Authors.
 // SPDX-License-Identifier: MIT
 //
-// Low-level file plumbing for the persistent event store: a read-only
-// memory-mapped file (the query path maps sealed segments and binary-
-// searches them in place), the WAL's in-place writable file, and small
-// whole-file read/write/rename helpers used by the writer and the
-// compactor. POSIX mmap with a plain read() fallback, so the store also
-// works on filesystems that refuse mappings — the format and the query
-// results are identical either way.
+// Low-level file plumbing for the persistent event store: the WAL's
+// in-place writable file and whole-file read/write helpers. Readers take a
+// segment whole with read_file(): open decodes every byte of it once, so
+// nothing is gained by mapping it.
 #pragma once
 
 #include <cstddef>
@@ -18,39 +15,6 @@
 #include <vector>
 
 namespace grca::storage {
-
-/// A read-only view of one file, memory-mapped when possible. Move-only;
-/// unmaps on destruction. The view stays valid and immutable for the
-/// object's lifetime — callers hand out pointers into it (decoded event
-/// strings are copied out, but frame headers are read in place).
-class MappedFile {
- public:
-  MappedFile() = default;
-  ~MappedFile();
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
-  MappedFile(const MappedFile&) = delete;
-  MappedFile& operator=(const MappedFile&) = delete;
-
-  /// Maps `path` read-only. Throws StorageError when the file cannot be
-  /// opened or mapped (a zero-length file opens fine and yields an empty
-  /// view).
-  static MappedFile open(const std::filesystem::path& path);
-
-  const std::uint8_t* data() const noexcept { return data_; }
-  std::size_t size() const noexcept { return size_; }
-  std::span<const std::uint8_t> bytes() const noexcept {
-    return {data_, size_};
-  }
-  /// True when the view is an actual mmap (false: fallback heap copy).
-  bool mapped() const noexcept { return mapped_; }
-
- private:
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  bool mapped_ = false;
-  std::vector<std::uint8_t> fallback_;  // owns the bytes when !mapped_
-};
 
 /// A file written in place at explicit offsets (the WAL). Move-only;
 /// closes on destruction. There is no user-space buffer: bytes are on the

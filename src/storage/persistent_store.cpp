@@ -28,7 +28,7 @@ PersistentEventStore PersistentEventStore::open(
       throw StorageError("storage: segment " + path.string() +
                          " is not sealed");
     }
-    store.stats_.mapped_bytes += seg.size();
+    store.stats_.sealed_bytes += seg.size();
     store.watermark_ = std::max(store.watermark_, seg.v2_footer().watermark);
     for (core::EventInstance& e : seg.read_all_events()) {
       store.add(std::move(e));
@@ -67,8 +67,9 @@ PersistentEventStore PersistentEventStore::open(
     reg->counter("grca_storage_opens_total").inc();
     reg->gauge("grca_storage_segments")
         .set(static_cast<double>(store.stats_.sealed_segments));
+    // The gauge keeps its historical name; it counts sealed bytes read.
     reg->gauge("grca_storage_mapped_bytes")
-        .set(static_cast<double>(store.stats_.mapped_bytes));
+        .set(static_cast<double>(store.stats_.sealed_bytes));
     if (store.stats_.recovered_bytes > 0) {
       reg->counter("grca_storage_recovered_bytes")
           .inc(store.stats_.recovered_bytes);

@@ -35,7 +35,7 @@ class PersistentEventStore final : public core::EventStore {
     std::uint64_t wal_events = 0;        // valid WAL frames adopted
     std::uint64_t recovered_bytes = 0;   // WAL frame bytes adopted
     std::uint64_t truncated_bytes = 0;   // torn WAL tail skipped
-    std::uint64_t mapped_bytes = 0;      // total sealed segment bytes read
+    std::uint64_t sealed_bytes = 0;      // total sealed segment bytes read
     std::uint64_t event_count = 0;
   };
 

@@ -5,6 +5,7 @@
 
 #include "storage/codec.h"
 #include "storage/crc32c.h"
+#include "storage/io.h"
 #include "util/error.h"
 
 namespace grca::storage {
@@ -27,8 +28,8 @@ std::vector<std::uint8_t> encode_segment_header(std::uint64_t seq,
 SegmentReader SegmentReader::open(const std::filesystem::path& path) {
   SegmentReader seg;
   seg.path_ = path;
-  seg.file_ = MappedFile::open(path);
-  std::span<const std::uint8_t> bytes = seg.file_.bytes();
+  seg.bytes_ = read_file(path);
+  std::span<const std::uint8_t> bytes = seg.bytes_;
   if (bytes.size() < kSegmentHeaderBytes) {
     throw StorageError("storage: " + path.string() +
                        " is too short for a segment header");
@@ -106,7 +107,7 @@ const V2Footer& SegmentReader::v2_footer() const {
 std::vector<core::EventInstance> SegmentReader::read_all_events() const {
   std::vector<core::EventInstance> events;
   events.reserve(v2_footer().event_count);
-  std::span<const std::uint8_t> bytes = file_.bytes();
+  std::span<const std::uint8_t> bytes = bytes_;
   for (const V2Run& run : v2_footer_.runs) {
     if (crc32c(bytes.data() + run.region_off, run.region_len()) !=
         run.region_crc) {
@@ -114,10 +115,15 @@ std::vector<core::EventInstance> SegmentReader::read_all_events() const {
                          v2_footer_.names[run.name_id] +
                          "': column region checksum mismatch");
     }
-    decode_v2_rows(bytes, v2_footer_, run,
-                   [&events](core::EventInstance e, core::LocId) {
-                     events.push_back(std::move(e));
-                   });
+    try {
+      decode_v2_rows(bytes, v2_footer_, run,
+                     [&events](core::EventInstance e, core::LocId) {
+                       events.push_back(std::move(e));
+                     });
+    } catch (const StorageError& e) {
+      throw StorageError("storage: " + path_.string() + " run '" +
+                         v2_footer_.names[run.name_id] + "': " + e.what());
+    }
   }
   return events;
 }
@@ -128,7 +134,7 @@ SegmentReader::Scan SegmentReader::scan_frames() const {
                        " is columnar; it has no frames to scan");
   }
   Scan scan;
-  std::span<const std::uint8_t> bytes = file_.bytes();
+  std::span<const std::uint8_t> bytes = bytes_;
   std::uint64_t at = kSegmentHeaderBytes;
   while (at < bytes.size()) {
     std::optional<FrameView> frame = probe_frame(bytes.subspan(at));

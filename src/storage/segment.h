@@ -26,7 +26,6 @@
 
 #include "core/event.h"
 #include "storage/columnar.h"
-#include "storage/io.h"
 
 namespace grca::storage {
 
@@ -44,10 +43,11 @@ enum class SegmentKind : std::uint16_t { kLive = 0, kSealed = 1 };
 std::vector<std::uint8_t> encode_segment_header(std::uint64_t seq,
                                                 SegmentKind kind);
 
-/// A mapped, validated segment file. Opening throws StorageError when the
-/// header is damaged (wrong magic, header CRC mismatch, a version/kind pair
-/// other than v1 live or v2 sealed) or when a sealed segment's footer does
-/// not validate. Read-only: never mutates the file.
+/// A validated segment file, read whole into memory. Opening throws
+/// StorageError when the header is damaged (wrong magic, header CRC
+/// mismatch, a version/kind pair other than v1 live or v2 sealed) or when a
+/// sealed segment's footer does not validate. Read-only: never mutates the
+/// file.
 class SegmentReader {
  public:
   static SegmentReader open(const std::filesystem::path& path);
@@ -57,14 +57,13 @@ class SegmentReader {
   const std::filesystem::path& path() const noexcept { return path_; }
   /// Sealed footer; throws StorageError unless sealed.
   const V2Footer& v2_footer() const;
-  std::span<const std::uint8_t> bytes() const noexcept {
-    return file_.bytes();
-  }
-  bool mapped() const noexcept { return file_.mapped(); }
-  std::uint64_t size() const noexcept { return file_.size(); }
+  std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
+  std::uint64_t size() const noexcept { return bytes_.size(); }
 
   /// Decodes a live segment's frames sequentially from the header end.
-  /// Stops cleanly at the first invalid frame (the torn tail):
+  /// Stops cleanly at the first invalid frame (the torn tail; a
+  /// checksum-valid frame that does not decode, such as one whose record
+  /// ends before it starts, counts as the boundary too):
   /// `valid_bytes` is the offset of that boundary and `dropped_bytes` what
   /// follows it. Throws StorageError on a sealed segment.
   struct Scan {
@@ -76,13 +75,14 @@ class SegmentReader {
 
   /// Every event of a *sealed* segment in stored order (a full columnar
   /// decode, each run's column region checked against its CRC32C first).
-  /// Unlike scan_frames, any damage throws StorageError — a sealed segment
-  /// has no legitimate torn tail.
+  /// Unlike scan_frames, any damage throws StorageError naming the file
+  /// and run — a sealed segment has no legitimate torn tail. A row that
+  /// ends before it starts counts as damage even under a valid checksum.
   std::vector<core::EventInstance> read_all_events() const;
 
  private:
   std::filesystem::path path_;
-  MappedFile file_;
+  std::vector<std::uint8_t> bytes_;
   std::uint64_t seq_ = 0;
   bool sealed_ = false;
   V2Footer v2_footer_;

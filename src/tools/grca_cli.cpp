@@ -942,8 +942,7 @@ int cmd_store(const std::string& action, const Args& args) {
       }
       storage::SegmentReader seg = storage::SegmentReader::open(path);
       std::cout << path.filename().string() << ": seq " << seg.seq() << ", "
-                << seg.size() << " bytes, "
-                << (seg.mapped() ? "mapped" : "heap") << ", ";
+                << seg.size() << " bytes, ";
       if (seg.sealed()) {
         const storage::V2Footer& footer = seg.v2_footer();
         total_events += footer.event_count;

@@ -205,6 +205,83 @@ TEST(ColumnarSegment, ColumnDamageFailsOpenNamingTheFile) {
   EXPECT_FALSE(verify_store(dir.path).ok());
 }
 
+// A row whose interval ends before it starts can sit under valid checksums
+// (a faulty writer, a hand-edited file). It is storage damage, not a
+// configuration error: open and compact refuse the sealed segment with a
+// StorageError naming the file and run, verify reports it, and in the WAL
+// it marks the torn-tail boundary as any undecodable frame does.
+TEST(ColumnarSegment, RowEndingBeforeItStartsIsStorageDamage) {
+  util::Rng rng(0xC08);
+  std::vector<core::EventInstance> events;
+  for (int i = 0; i < 3; ++i) events.push_back(synth_event(rng, 1, 4));
+  std::sort(events.begin(), events.end(),
+            [](const core::EventInstance& a, const core::EventInstance& b) {
+              return a.when.start < b.when.start;
+            });
+  core::EventInstance inverted = events.back();
+  inverted.when.start = events.back().when.start + 60;
+  inverted.when.end = inverted.when.start - 5;
+
+  // Sealed: a checksum-valid v2 segment holding the inverted row.
+  {
+    TempDir dir("sealed");
+    fs::create_directories(dir.path);
+    std::vector<const core::EventInstance*> rows;
+    for (const core::EventInstance& e : events) rows.push_back(&e);
+    rows.push_back(&inverted);
+    const fs::path seg_path =
+        dir.path / ("seg-000001" + std::string(kSegmentExtension));
+    write_file(seg_path,
+               encode_sealed_segment_v2(1, inverted.when.start + 1,
+                                        {{inverted.name, rows}}));
+    ASSERT_EQ(list_segments(dir.path), std::vector<fs::path>{seg_path});
+
+    auto expect_names_file_and_run = [&](auto&& call) {
+      try {
+        call();
+        ADD_FAILURE() << "a row ending before it starts was accepted";
+      } catch (const StorageError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(seg_path.string()), std::string::npos) << what;
+        EXPECT_NE(what.find("run '" + inverted.name + "'"), std::string::npos)
+            << what;
+      }
+    };
+    expect_names_file_and_run(
+        [&] { (void)PersistentEventStore::open(dir.path); });
+    expect_names_file_and_run([&] { (void)compact_store(dir.path); });
+    EXPECT_EQ(list_segments(dir.path), std::vector<fs::path>{seg_path});
+    VerifyReport report = verify_store(dir.path);
+    ASSERT_EQ(report.errors.size(), 1u);
+    EXPECT_NE(report.errors.front().find(seg_path.string()), std::string::npos)
+        << report.errors.front();
+  }
+
+  // WAL: two good frames, the inverted one, then one more good frame. The
+  // inverted frame is where the valid prefix ends.
+  {
+    TempDir dir("wal");
+    fs::create_directories(dir.path);
+    std::vector<std::uint8_t> wal =
+        encode_segment_header(1, SegmentKind::kLive);
+    encode_frame(events[0], wal);
+    encode_frame(events[1], wal);
+    const std::size_t valid_end = wal.size();
+    encode_frame(inverted, wal);
+    encode_frame(events[2], wal);
+    write_file(dir.path / kWalName, wal);
+
+    PersistentEventStore store = PersistentEventStore::open(dir.path);
+    EXPECT_EQ(store.total_instances(), 2u);
+    EXPECT_EQ(store.stats().wal_events, 2u);
+    EXPECT_EQ(store.stats().truncated_bytes, wal.size() - valid_end);
+    VerifyReport report = verify_store(dir.path);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.frames, 2u);
+    EXPECT_EQ(report.torn_wal_bytes, wal.size() - valid_end);
+  }
+}
+
 // ------------------------------------------------------- corruption sweep --
 
 // Every single-bit flip anywhere in a v2 segment must be caught by

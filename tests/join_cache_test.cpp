@@ -2,23 +2,25 @@
 // SPDX-License-Identifier: MIT
 //
 // The memoized spatial-join layer: location interning, routing epochs, the
-// JoinCache itself, and the engine integration. The load-bearing properties:
-//   - cached diagnosis output is byte-identical to the uncached reference,
+// per-worker JoinMemo itself, and the engine integration. The load-bearing
+// properties:
+//   - cached diagnosis output is byte-identical to the uncached reference
+//     at every thread count and across repeated calls on one engine,
 //   - a mid-window OSPF reroute invalidates exactly the stale projections
 //     (an off-path link must not join after the reroute),
-//   - the cache is safe under concurrent hammering (the TSan gate),
+//   - one memo per thread over a shared table and mapper is race-free (the
+//     TSan gate),
 //   - allocation-free store queries return exactly what query() returns.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/event_store.h"
-#include "core/join_cache.h"
+#include "core/join_memo.h"
 #include "core/location.h"
 #include "core/location_table.h"
 #include "core/rule_dsl.h"
@@ -300,9 +302,9 @@ TEST(JoinCacheReroute, MidWindowOspfRerouteInvalidatesStalePath) {
             Location::logical_link(ac_name));
 
   // The two symptoms really used different epoch stamps.
-  const JoinCache& cache = cached.join_cache();
-  EXPECT_NE(cache.stamp_at(1000), cache.stamp_at(3000));
-  EXPECT_GT(cache.stats().hits + cache.stats().misses, 0u);
+  JoinMemo memo(mapper, store.locations());
+  EXPECT_NE(memo.stamp_at(1000), memo.stamp_at(3000));
+  EXPECT_GT(cached.join_stats().hits + cached.join_stats().misses, 0u);
 }
 
 TEST(JoinCacheReroute, ProjectionsFlipAcrossTheEpochBoundary) {
@@ -312,7 +314,7 @@ TEST(JoinCacheReroute, ProjectionsFlipAcrossTheEpochBoundary) {
   ospf.set_weight(g.ab, 2000, 100);
   LocationMapper mapper(g.net, ospf, bgp);
   LocationTable table;
-  JoinCache cache(mapper, table);
+  JoinMemo cache(mapper, table);
   LocId pair = table.intern(Location::router_pair("a", "d"));
   LocId ab = table.intern(Location::logical_link(g.net.link(g.ab).name));
   LocId ac = table.intern(Location::logical_link(g.net.link(g.ac).name));
@@ -398,18 +400,23 @@ graph {
 
 TEST(JoinCacheIdentity, CachedEqualsUncachedOnIspScenario) {
   IspScenario s;
-  RcaEngine cached(pop_graph(), s.store, s.mapper);
   RcaEngine uncached(pop_graph(), s.store, s.mapper);
   uncached.set_join_cache_enabled(false);
-  std::string reference = render(uncached.diagnose_all(1));
-  EXPECT_EQ(render(cached.diagnose_all(1)), reference);
-  // The memo must not decay results when reused (second pass all-hits),
-  // nor depend on worker scheduling.
-  EXPECT_EQ(render(cached.diagnose_all(1)), reference);
-  EXPECT_EQ(render(cached.diagnose_all(4)), reference);
-  auto stats = cached.join_cache().stats();
+  const std::string reference = render(uncached.diagnose_all(1));
+  // One engine for every count: its worker memos outlive each call, so the
+  // second call at a count runs on warm memos and later counts reuse the
+  // memos earlier ones filled. Neither may decay results.
+  RcaEngine cached(pop_graph(), s.store, s.mapper);
+  for (unsigned threads : {1u, 2u, 3u, 4u, 8u}) {
+    for (int call = 0; call < 2; ++call) {
+      EXPECT_EQ(render(cached.diagnose_all(threads)), reference)
+          << threads << " threads, call " << call;
+    }
+  }
+  EXPECT_EQ(render(uncached.diagnose_all(4)), reference);
+  auto stats = cached.join_stats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.entries, 0u);
+  EXPECT_GT(stats.misses, 0u);
 }
 
 TEST(JoinCacheMetrics, RegistryCountersMirrorStats) {
@@ -418,21 +425,25 @@ TEST(JoinCacheMetrics, RegistryCountersMirrorStats) {
   IspScenario s;
   RcaEngine engine(pop_graph(), s.store, s.mapper);
   engine.diagnose_all(1);
-  auto stats = engine.join_cache().stats();
+  engine.diagnose_all(4);
+  auto stats = engine.join_stats();
   EXPECT_GT(stats.misses, 0u);
+  // Each diagnosis publishes its own memo's tallies, so after the calls the
+  // counters hold the sum over every worker's memo.
   auto snap = registry.snapshot();
   EXPECT_EQ(snap.counters.at("grca_join_cache_hits"), stats.hits);
   EXPECT_EQ(snap.counters.at("grca_join_cache_misses"), stats.misses);
-  EXPECT_EQ(snap.gauges.at("grca_join_cache_entries"),
-            static_cast<double>(stats.entries));
 }
 
 // ---- Concurrency hammer (the TSan gate) ------------------------------------
 
 TEST(JoinCacheHammer, ConcurrentMixedQueriesMatchSerialReference) {
   IspScenario s;
-  LocationTable table;
-  JoinCache cache(s.mapper, table);
+  s.store.warm();
+  // Shared by every thread, as in the engine's fan-out: the warmed store's
+  // table (memos intern projection results into it) and the mapper (its
+  // SPF memo). Each thread owns its memo.
+  LocationTable& table = s.store.locations();
 
   struct Probe {
     LocId symptom;
@@ -466,32 +477,39 @@ TEST(JoinCacheHammer, ConcurrentMixedQueriesMatchSerialReference) {
                            s.mapper.joins(a, b, level, t)});
   }
 
-  std::atomic<int> mismatches{0};
+  struct Outcome {
+    int mismatches = 0;
+    JoinMemo::Stats stats;
+  };
+  std::vector<Outcome> outcomes(8);
   std::vector<std::thread> threads;
-  for (int w = 0; w < 8; ++w) {
+  for (std::size_t w = 0; w < outcomes.size(); ++w) {
     threads.emplace_back([&, w] {
+      JoinMemo memo(s.mapper, table);
+      Outcome& out = outcomes[w];
       // Each worker walks the probe list from its own offset, twice, so
-      // every entry sees both the miss path and the hit path concurrently.
+      // every memo takes both the miss path and the hit path while the
+      // others intern and route concurrently.
       for (int round = 0; round < 2; ++round) {
         for (std::size_t i = 0; i < probes.size(); ++i) {
-          const Probe& p = probes[(i + static_cast<std::size_t>(w) * 25) %
-                                  probes.size()];
-          if (cache.joins(p.symptom, p.diagnostic, p.level, p.t) != p.expect) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
+          const Probe& p = probes[(i + w * 25) % probes.size()];
+          if (memo.joins(p.symptom, p.diagnostic, p.level, p.t) != p.expect) {
+            ++out.mismatches;
           }
-          auto proj = cache.project(p.symptom, p.level, p.t);
-          if (!std::is_sorted(proj->begin(), proj->end())) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
+          const std::vector<LocId>& proj =
+              memo.project(p.symptom, p.level, p.t);
+          if (!std::is_sorted(proj.begin(), proj.end())) ++out.mismatches;
         }
       }
+      out.stats = memo.stats();
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  auto stats = cache.stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_GT(stats.misses, 0u);
+  for (const Outcome& out : outcomes) {
+    EXPECT_EQ(out.mismatches, 0);
+    EXPECT_GT(out.stats.hits, 0u);
+    EXPECT_GT(out.stats.misses, 0u);
+  }
 }
 
 }  // namespace

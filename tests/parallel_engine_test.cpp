@@ -125,29 +125,49 @@ TEST(ParallelEngine, ZeroMeansHardwareConcurrency) {
   expect_identical(engine.diagnose_all(1), engine.diagnose_all(0));
 }
 
+TEST(ParallelEngine, FewerSymptomsThanThreads) {
+  // No symptom, one, and fewer than the workers asked for: the fan-out
+  // starts at most one worker per symptom and still covers each once.
+  for (std::size_t flaps : {0, 50, 150}) {
+    SeededScenario scenario(flaps);
+    core::RcaEngine engine(scenario.graph(), scenario.store, scenario.mapper);
+    auto serial = engine.diagnose_all(1);
+    EXPECT_EQ(serial.size(), (flaps + 49) / 50);
+    expect_identical(serial, engine.diagnose_all(8));
+  }
+}
+
 TEST(ParallelEngine, ConcurrentDiagnoseOnWarmStore) {
   SeededScenario scenario(2000);
-  core::RcaEngine engine(scenario.graph(), scenario.store, scenario.mapper);
   scenario.store.warm();
   auto symptoms = scenario.store.all("ebgp-flap");
   ASSERT_FALSE(symptoms.empty());
-  // Hammer the same symptoms from several threads directly (no pool), to
-  // exercise the shared SPF cache and read-only store under TSan.
+  symptoms = symptoms.subspan(0, std::min<std::size_t>(symptoms.size(), 50));
+  // The serial reference resolves every join through LocationMapper::joins.
+  core::RcaEngine reference(scenario.graph(), scenario.store, scenario.mapper);
+  reference.set_join_cache_enabled(false);
+  std::vector<core::Diagnosis> expected;
+  for (const core::EventInstance& s : symptoms) {
+    expected.push_back(reference.diagnose(s));
+  }
+  // One engine (so one join memo) per thread over the shared warmed store,
+  // mapper and location table, diagnosing the same symptoms at once: the
+  // store's read path, the table's interning and the SPF memo run
+  // concurrently under TSan.
+  std::vector<std::vector<core::Diagnosis>> results(4);
   std::vector<std::thread> threads;
-  std::vector<std::string> primaries(4);
-  for (std::size_t th = 0; th < primaries.size(); ++th) {
+  for (std::size_t th = 0; th < results.size(); ++th) {
     threads.emplace_back([&, th] {
-      std::string last;
-      for (const core::EventInstance& s :
-           symptoms.subspan(0, std::min<std::size_t>(symptoms.size(), 50))) {
-        last = engine.diagnose(s).primary();
+      core::RcaEngine engine(scenario.graph(), scenario.store,
+                             scenario.mapper);
+      for (const core::EventInstance& s : symptoms) {
+        results[th].push_back(engine.diagnose(s));
       }
-      primaries[th] = last;
     });
   }
   for (std::thread& th : threads) th.join();
-  for (std::size_t th = 1; th < primaries.size(); ++th) {
-    EXPECT_EQ(primaries[th], primaries[0]);
+  for (const std::vector<core::Diagnosis>& result : results) {
+    expect_identical(expected, result);
   }
 }
 
