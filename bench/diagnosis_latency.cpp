@@ -129,22 +129,23 @@ void BM_BgpFlapDiagnosisUncachedRoutes(benchmark::State& state) {
 BENCHMARK(BM_BgpFlapDiagnosisUncachedRoutes)->Unit(benchmark::kMicrosecond);
 
 /// The CDN cost driver in isolation: reconstructing historical paths. Runs
-/// an uncached SPF each iteration by alternating over distinct epochs.
+/// an uncached SPF each iteration (memoization off, as in the
+/// *UncachedRoutes benches) over scattered sources and times.
 void BM_SpfComputation(benchmark::State& state) {
   CdnFixture& f = CdnFixture::instance();
   const routing::OspfSim& ospf = f.pipeline.routing().ospf();
   const auto& routers = f.world.rca_net.routers();
   std::size_t i = 0;
   util::TimeSec t0 = util::make_utc(2010, 1, 2);
+  ospf.set_cache_enabled(false);
   for (auto _ : state) {
-    // Vary both source and time so the epoch cache cannot short-circuit
-    // every call (mimics scattered historical queries).
     topology::RouterId src = routers[i % routers.size()].id;
     util::TimeSec t = t0 + static_cast<util::TimeSec>(i * 7919 % 1209600);
     benchmark::DoNotOptimize(
         ospf.routers_on_paths(src, routers[(i * 13 + 7) % routers.size()].id, t));
     ++i;
   }
+  ospf.set_cache_enabled(true);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpfComputation)->Unit(benchmark::kMicrosecond);

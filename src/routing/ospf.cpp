@@ -4,7 +4,7 @@
 #include "routing/ospf.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 namespace grca::routing {
 
@@ -17,6 +17,14 @@ OspfSim::OspfSim(const topology::Network& net) : net_(net) {
     history_[l.id.value()].emplace_back(
         std::numeric_limits<util::TimeSec>::min(), l.ospf_weight);
   }
+  hop_begin_.reserve(net.routers().size() + 1);
+  for (const topology::Router& r : net.routers()) {
+    hop_begin_.push_back(static_cast<std::uint32_t>(hops_.size()));
+    for (LogicalLinkId l : net.links_of_router(r.id)) {
+      hops_.push_back(Hop{l.value(), net.link_peer(l, r.id).value()});
+    }
+  }
+  hop_begin_.push_back(static_cast<std::uint32_t>(hops_.size()));
 }
 
 void OspfSim::set_weight(LogicalLinkId link, util::TimeSec time,
@@ -70,6 +78,7 @@ std::shared_ptr<const OspfSim::SpfResult> OspfSim::run_spf(
 
 int OspfSim::weight_at(LogicalLinkId link, util::TimeSec time) const {
   const auto& hist = history_.at(link.value());
+  if (hist.size() == 1) return hist.front().second;  // never changed
   // Last entry with entry.time <= time. First entry is at -inf, so the
   // bound is always found.
   auto it = std::upper_bound(
@@ -80,123 +89,119 @@ int OspfSim::weight_at(LogicalLinkId link, util::TimeSec time) const {
 
 OspfSim::SpfResult OspfSim::compute_spf(RouterId src,
                                         util::TimeSec time) const {
-  const std::size_t n = net_.routers().size();
+  const std::size_t n = hop_begin_.size() - 1;
+  using Item = std::pair<int, std::uint32_t>;  // (distance, router)
+  // Per-thread scratch reused across runs: each link's weight at `time`
+  // (kUnreachable when it carries no traffic), the heap, and the
+  // predecessor hops before they are copied into the exact-size result.
+  struct Scratch {
+    std::vector<int> weight;
+    std::vector<Item> heap;
+    std::vector<std::uint32_t> preds;
+  };
+  thread_local Scratch scratch;
+  std::vector<int>& weight = scratch.weight;
+  weight.resize(history_.size());
+  for (std::size_t l = 0; l < weight.size(); ++l) {
+    int w = weight_at(LogicalLinkId(static_cast<std::uint32_t>(l)), time);
+    weight[l] = (w == kDown || w == kCostedOut) ? kUnreachable : w;
+  }
+
   SpfResult res;
   res.dist.assign(n, kUnreachable);
-  res.pred_links.resize(n);
-  using Item = std::pair<int, std::uint32_t>;  // (distance, router)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  std::vector<Item>& heap = scratch.heap;
+  heap.clear();
   res.dist[src.value()] = 0;
-  heap.emplace(0, src.value());
+  heap.emplace_back(0, src.value());
   while (!heap.empty()) {
-    auto [d, u] = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+    auto [d, u] = heap.back();
+    heap.pop_back();
     if (d > res.dist[u]) continue;
-    for (LogicalLinkId l : net_.links_of_router(RouterId(u))) {
-      if (!usable_at(l, time)) continue;
-      int w = weight_at(l, time);
-      RouterId v = net_.link_peer(l, RouterId(u));
+    for (std::uint32_t h = hop_begin_[u]; h < hop_begin_[u + 1]; ++h) {
+      int w = weight[hops_[h].link];
+      if (w == kUnreachable) continue;
       int nd = d + w;
-      if (nd < res.dist[v.value()]) {
-        res.dist[v.value()] = nd;
-        res.pred_links[v.value()] = {l};
-        heap.emplace(nd, v.value());
-      } else if (nd == res.dist[v.value()]) {
-        // Equal-cost predecessor: remember every ECMP incoming link.
-        auto& preds = res.pred_links[v.value()];
-        if (std::find(preds.begin(), preds.end(), l) == preds.end()) {
-          preds.push_back(l);
-        }
+      if (nd < res.dist[hops_[h].peer]) {
+        res.dist[hops_[h].peer] = nd;
+        heap.emplace_back(nd, hops_[h].peer);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>());
       }
     }
   }
+
+  // Every weight is positive and links are symmetric, so a hop out of a
+  // reached router v leads to an ECMP predecessor exactly when the peer's
+  // distance plus the link weight equals v's.
+  std::vector<std::uint32_t>& preds = scratch.preds;
+  preds.clear();
+  res.pred_begin.resize(n + 1);
+  for (std::uint32_t v = 0; v < n; ++v) {
+    res.pred_begin[v] = static_cast<std::uint32_t>(preds.size());
+    if (res.dist[v] == kUnreachable) continue;
+    for (std::uint32_t h = hop_begin_[v]; h < hop_begin_[v + 1]; ++h) {
+      int w = weight[hops_[h].link];
+      int dp = res.dist[hops_[h].peer];
+      if (w != kUnreachable && dp != kUnreachable && dp + w == res.dist[v]) {
+        preds.push_back(h);
+      }
+    }
+  }
+  res.pred_begin[n] = static_cast<std::uint32_t>(preds.size());
+  res.preds.assign(preds.begin(), preds.end());
   return res;
+}
+
+std::vector<std::uint32_t> OspfSim::path_routers(const SpfResult& res,
+                                                 RouterId dst) const {
+  std::vector<std::uint32_t> out;
+  if (res.dist[dst.value()] == kUnreachable) return out;
+  // Walk the ECMP predecessor DAG backwards from dst.
+  std::vector<bool> seen(res.dist.size(), false);
+  std::vector<std::uint32_t> stack = {dst.value()};
+  seen[dst.value()] = true;
+  while (!stack.empty()) {
+    std::uint32_t r = stack.back();
+    stack.pop_back();
+    out.push_back(r);
+    for (std::uint32_t p = res.pred_begin[r]; p < res.pred_begin[r + 1]; ++p) {
+      std::uint32_t peer = hops_[res.preds[p]].peer;
+      if (!seen[peer]) {
+        seen[peer] = true;
+        stack.push_back(peer);
+      }
+    }
+  }
+  return out;
 }
 
 std::optional<int> OspfSim::distance(RouterId src, RouterId dst,
                                      util::TimeSec time) const {
-  std::shared_ptr<const SpfResult> res_ptr = run_spf(src, time);
-  const SpfResult& res = *res_ptr;
-  int d = res.dist[dst.value()];
+  int d = run_spf(src, time)->dist[dst.value()];
   if (d == kUnreachable) return std::nullopt;
   return d;
 }
 
 std::vector<RouterId> OspfSim::routers_on_paths(RouterId src, RouterId dst,
                                                 util::TimeSec time) const {
-  std::shared_ptr<const SpfResult> res_ptr = run_spf(src, time);
-  const SpfResult& res = *res_ptr;
-  if (res.dist[dst.value()] == kUnreachable) return {};
-  // Walk the ECMP predecessor DAG backwards from dst.
-  std::vector<bool> seen(net_.routers().size(), false);
-  std::vector<RouterId> out, stack = {dst};
-  seen[dst.value()] = true;
-  while (!stack.empty()) {
-    RouterId r = stack.back();
-    stack.pop_back();
-    out.push_back(r);
-    for (LogicalLinkId l : res.pred_links[r.value()]) {
-      RouterId p = net_.link_peer(l, r);
-      if (!seen[p.value()]) {
-        seen[p.value()] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  std::vector<std::uint32_t> routers = path_routers(*run_spf(src, time), dst);
+  std::sort(routers.begin(), routers.end());
+  return std::vector<RouterId>(routers.begin(), routers.end());
 }
 
 std::vector<LogicalLinkId> OspfSim::links_on_paths(RouterId src, RouterId dst,
                                                    util::TimeSec time) const {
-  std::shared_ptr<const SpfResult> res_ptr = run_spf(src, time);
-  const SpfResult& res = *res_ptr;
-  if (res.dist[dst.value()] == kUnreachable) return {};
-  std::vector<bool> seen(net_.routers().size(), false);
+  std::shared_ptr<const SpfResult> res = run_spf(src, time);
+  // The links on the paths are the predecessor hops of the routers on them.
   std::vector<LogicalLinkId> out;
-  std::vector<RouterId> stack = {dst};
-  seen[dst.value()] = true;
-  while (!stack.empty()) {
-    RouterId r = stack.back();
-    stack.pop_back();
-    for (LogicalLinkId l : res.pred_links[r.value()]) {
-      out.push_back(l);
-      RouterId p = net_.link_peer(l, r);
-      if (!seen[p.value()]) {
-        seen[p.value()] = true;
-        stack.push_back(p);
-      }
+  for (std::uint32_t r : path_routers(*res, dst)) {
+    for (std::uint32_t p = res->pred_begin[r]; p < res->pred_begin[r + 1];
+         ++p) {
+      out.emplace_back(hops_[res->preds[p]].link);
     }
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<std::vector<RouterId>> OspfSim::paths(RouterId src, RouterId dst,
-                                                  util::TimeSec time,
-                                                  std::size_t max_paths) const {
-  std::shared_ptr<const SpfResult> res_ptr = run_spf(src, time);
-  const SpfResult& res = *res_ptr;
-  std::vector<std::vector<RouterId>> out;
-  if (res.dist[dst.value()] == kUnreachable) return out;
-  // DFS over the predecessor DAG, building paths dst -> src then reversing.
-  std::vector<RouterId> cur = {dst};
-  auto dfs = [&](auto&& self, RouterId r) -> void {
-    if (out.size() >= max_paths) return;
-    if (r == src) {
-      std::vector<RouterId> path(cur.rbegin(), cur.rend());
-      out.push_back(std::move(path));
-      return;
-    }
-    for (LogicalLinkId l : res.pred_links[r.value()]) {
-      RouterId p = net_.link_peer(l, r);
-      cur.push_back(p);
-      self(self, p);
-      cur.pop_back();
-    }
-  };
-  dfs(dfs, dst);
   return out;
 }
 

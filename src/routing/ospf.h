@@ -91,11 +91,6 @@ class OspfSim {
                                                       topology::RouterId dst,
                                                       util::TimeSec time) const;
 
-  /// Enumerates up to `max_paths` distinct equal-cost router-level paths.
-  std::vector<std::vector<topology::RouterId>> paths(
-      topology::RouterId src, topology::RouterId dst, util::TimeSec time,
-      std::size_t max_paths = 8) const;
-
   /// Complete change history (ordered per link, globally unsorted).
   const std::vector<WeightChange>& change_log() const noexcept { return log_; }
 
@@ -130,11 +125,18 @@ class OspfSim {
   const topology::Network& network() const noexcept { return net_; }
 
  private:
-  /// Runs Dijkstra from src at `time`; fills dist and the ECMP predecessor
-  /// link lists.
+  /// One adjacency hop: a link and the router at its far end.
+  struct Hop {
+    std::uint32_t link;
+    std::uint32_t peer;
+  };
+  /// One Dijkstra run from a source at one routing epoch. Router r's ECMP
+  /// predecessors (each a link into r on a shortest path and the router it
+  /// leaves) are the hops_ indexed by preds[pred_begin[r], pred_begin[r+1]).
   struct SpfResult {
-    std::vector<int> dist;  // kUnreachable if not reached
-    std::vector<std::vector<topology::LogicalLinkId>> pred_links;
+    std::vector<int> dist;                  // kUnreachable if not reached
+    std::vector<std::uint32_t> pred_begin;  // one offset per router, + end
+    std::vector<std::uint32_t> preds;       // indices into hops_
   };
   static constexpr int kUnreachable = std::numeric_limits<int>::max();
 
@@ -144,12 +146,21 @@ class OspfSim {
   /// cache is cleared on every set_weight.
   std::shared_ptr<const SpfResult> run_spf(topology::RouterId src,
                                            util::TimeSec time) const;
+  /// Runs Dijkstra from src over the adjacency with the weights at `time`.
   SpfResult compute_spf(topology::RouterId src, util::TimeSec time) const;
+  /// The routers on any shortest path to dst (dst included, in walk
+  /// order); empty if dst is unreachable.
+  std::vector<std::uint32_t> path_routers(const SpfResult& res,
+                                          topology::RouterId dst) const;
 
   const topology::Network& net_;
   /// Per-link ordered history of (time, weight); first entry is the initial
   /// weight at time -inf.
   std::vector<std::vector<std::pair<util::TimeSec, int>>> history_;
+  /// Router adjacency, built once from the Network: router r's hops are
+  /// hops_[hop_begin_[r], hop_begin_[r + 1]).
+  std::vector<std::uint32_t> hop_begin_;
+  std::vector<Hop> hops_;
   std::vector<WeightChange> log_;
   /// Sorted distinct change instants, maintained eagerly by set_weight() so
   /// epoch_at() reads without locking.

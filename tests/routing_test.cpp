@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
 #include <set>
+#include <thread>
 
 #include "routing/bgp.h"
 #include "routing/ospf.h"
@@ -117,6 +120,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TrieLpmProperty, ::testing::Values(1, 2, 3));
 
 // ---- OSPF ------------------------------------------------------------------
 
+/// Adds a backbone link of weight `w` between x and y, each end on a line
+/// card of its own, numbered from `subnet` (advanced past the /30).
+LogicalLinkId connect(Network& net, RouterId x, RouterId y, int w,
+                      std::uint32_t& subnet) {
+  auto cx = net.add_line_card(x, net.router(x).line_cards.size());
+  auto cy = net.add_line_card(y, net.router(y).line_cards.size());
+  auto ix = net.add_interface(x, cx, "so-" + std::to_string(subnet) + "/a",
+                              InterfaceKind::kBackbone, Ipv4Addr(subnet + 1));
+  auto iy = net.add_interface(y, cy, "so-" + std::to_string(subnet) + "/b",
+                              InterfaceKind::kBackbone, Ipv4Addr(subnet + 2));
+  auto l = net.add_logical_link(ix, iy, Ipv4Prefix(Ipv4Addr(subnet), 30), w,
+                                10.0);
+  subnet += 4;
+  return l;
+}
+
 /// Diamond: a -(1)- b -(1)- d, a -(1)- c -(1)- d, plus slow path a -(10)- d.
 struct Diamond {
   Network net;
@@ -134,25 +153,11 @@ struct Diamond {
     c = mk("c", 3);
     d = mk("d", 4);
     std::uint32_t subnet = 0x0A000000;
-    auto connect = [&](RouterId x, RouterId y, int w) {
-      auto cx = net.add_line_card(x, net.router(x).line_cards.size());
-      auto cy = net.add_line_card(y, net.router(y).line_cards.size());
-      auto ix = net.add_interface(x, cx,
-                                  "so-" + std::to_string(subnet) + "/a",
-                                  InterfaceKind::kBackbone, Ipv4Addr(subnet + 1));
-      auto iy = net.add_interface(y, cy,
-                                  "so-" + std::to_string(subnet) + "/b",
-                                  InterfaceKind::kBackbone, Ipv4Addr(subnet + 2));
-      auto l = net.add_logical_link(ix, iy, Ipv4Prefix(Ipv4Addr(subnet), 30),
-                                    w, 10.0);
-      subnet += 4;
-      return l;
-    };
-    ab = connect(a, b, 1);
-    ac = connect(a, c, 1);
-    bd = connect(b, d, 1);
-    cd = connect(c, d, 1);
-    ad = connect(a, d, 10);
+    ab = connect(net, a, b, 1, subnet);
+    ac = connect(net, a, c, 1, subnet);
+    bd = connect(net, b, d, 1, subnet);
+    cd = connect(net, c, d, 1, subnet);
+    ad = connect(net, a, d, 10, subnet);
   }
 };
 
@@ -177,18 +182,6 @@ TEST(Ospf, EcmpLinks) {
   auto links = ospf.links_on_paths(g.a, g.d, 0);
   std::set<LogicalLinkId> got(links.begin(), links.end());
   EXPECT_EQ(got, (std::set<LogicalLinkId>{g.ab, g.ac, g.bd, g.cd}));
-}
-
-TEST(Ospf, PathEnumeration) {
-  Diamond g;
-  OspfSim ospf(g.net);
-  auto paths = ospf.paths(g.a, g.d, 0);
-  EXPECT_EQ(paths.size(), 2u);
-  for (const auto& p : paths) {
-    EXPECT_EQ(p.front(), g.a);
-    EXPECT_EQ(p.back(), g.d);
-    EXPECT_EQ(p.size(), 3u);
-  }
 }
 
 TEST(Ospf, WeightChangeRedirectsPath) {
@@ -234,7 +227,6 @@ TEST(Ospf, UnreachableReturnsEmpty) {
   ospf.set_weight(g.ad, 10, kDown);
   EXPECT_FALSE(ospf.distance(g.a, g.d, 20).has_value());
   EXPECT_TRUE(ospf.routers_on_paths(g.a, g.d, 20).empty());
-  EXPECT_TRUE(ospf.paths(g.a, g.d, 20).empty());
 }
 
 TEST(Ospf, RejectsOutOfOrderChanges) {
@@ -309,6 +301,226 @@ TEST(Ospf, GeneratedIspAllPairsReachable) {
     RouterId b(static_cast<std::uint32_t>(rng.below(net.routers().size())));
     EXPECT_TRUE(ospf.distance(a, b, 0).has_value());
   }
+}
+
+// ---- OSPF against a reference ---------------------------------------------
+
+/// Each link's weight at `t`, replayed from the network's initial weights
+/// and change_log() rather than read through OspfSim's own history lookup.
+std::vector<int> reference_weights(const Network& net, const OspfSim& ospf,
+                                   util::TimeSec t) {
+  std::vector<int> w;
+  for (const topology::LogicalLink& l : net.links()) w.push_back(l.ospf_weight);
+  for (const WeightChange& c : ospf.change_log()) {
+    if (c.time <= t) w[c.link.value()] = c.new_weight;
+  }
+  return w;
+}
+
+constexpr long kRefInf = std::numeric_limits<long>::max() / 4;
+
+bool ref_usable(int w) { return w != kDown && w != kCostedOut; }
+
+/// Naive Bellman-Ford over the undirected edge list.
+std::vector<long> bellman_ford(const Network& net, const std::vector<int>& w,
+                               RouterId src) {
+  std::vector<long> dist(net.routers().size(), kRefInf);
+  dist[src.value()] = 0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const topology::LogicalLink& l : net.links()) {
+      if (!ref_usable(w[l.id.value()])) continue;
+      std::uint32_t a = net.interface(l.side_a).router.value();
+      std::uint32_t b = net.interface(l.side_b).router.value();
+      for (auto [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+        if (dist[x] != kRefInf && dist[x] + w[l.id.value()] < dist[y]) {
+          dist[y] = dist[x] + w[l.id.value()];
+          changed = true;
+        }
+      }
+    }
+  }
+  return dist;
+}
+
+/// Checks distance(), routers_on_paths() and links_on_paths() for one
+/// query against the reference: a router lies on a shortest path when its
+/// distances from src and to dst sum to the total, and a link when one of
+/// its directions does.
+void expect_matches_reference(const Network& net, const OspfSim& ospf,
+                              RouterId src, RouterId dst, util::TimeSec t) {
+  SCOPED_TRACE("src " + std::to_string(src.value()) + " dst " +
+               std::to_string(dst.value()) + " t " + std::to_string(t));
+  std::vector<int> w = reference_weights(net, ospf, t);
+  std::vector<long> from_src = bellman_ford(net, w, src);
+  std::vector<long> to_dst = bellman_ford(net, w, dst);
+  long total = from_src[dst.value()];
+  std::vector<RouterId> routers;
+  std::vector<LogicalLinkId> links;
+  if (total != kRefInf) {
+    for (const topology::Router& r : net.routers()) {
+      if (from_src[r.id.value()] + to_dst[r.id.value()] == total) {
+        routers.push_back(r.id);
+      }
+    }
+    for (const topology::LogicalLink& l : net.links()) {
+      int wl = w[l.id.value()];
+      if (!ref_usable(wl)) continue;
+      std::uint32_t a = net.interface(l.side_a).router.value();
+      std::uint32_t b = net.interface(l.side_b).router.value();
+      if (from_src[a] + wl + to_dst[b] == total ||
+          from_src[b] + wl + to_dst[a] == total) {
+        links.push_back(l.id);
+      }
+    }
+  }
+  std::optional<int> want_dist;
+  if (total != kRefInf) want_dist = static_cast<int>(total);
+  EXPECT_EQ(ospf.distance(src, dst, t), want_dist);
+  EXPECT_EQ(ospf.routers_on_paths(src, dst, t), routers);
+  EXPECT_EQ(ospf.links_on_paths(src, dst, t), links);
+}
+
+/// Applies `count` random weight changes at non-decreasing instants (some
+/// shared by several links), mixing new positive weights with kDown and
+/// kCostedOut. Returns the query times: before every change, and one
+/// second before, at and after each change instant.
+std::vector<util::TimeSec> random_weight_changes(util::Rng& rng,
+                                                 OspfSim& ospf, int count,
+                                                 int max_weight) {
+  const std::size_t links = ospf.network().links().size();
+  std::vector<util::TimeSec> times = {-1000};
+  util::TimeSec t = 100;
+  for (int i = 0; i < count; ++i) {
+    t += 50 * rng.range(0, 2);
+    int w = static_cast<int>(rng.range(1, max_weight));
+    switch (rng.below(4)) {
+      case 0: w = kDown; break;
+      case 1: w = kCostedOut; break;
+      default: break;
+    }
+    ospf.set_weight(LogicalLinkId(static_cast<std::uint32_t>(rng.below(links))),
+                    t, w);
+    for (util::TimeSec q : {t - 1, t, t + 1}) times.push_back(q);
+  }
+  std::sort(times.begin(), times.end());
+  times.erase(std::unique(times.begin(), times.end()), times.end());
+  return times;
+}
+
+/// Small seeded graphs with parallel links and weights in {1, 2, 3}, so
+/// equal-cost ties are common; some routers may stay unreachable.
+class SpfReferenceProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpfReferenceProperty, MatchesBellmanFordOverEveryPair) {
+  util::Rng rng(GetParam());
+  Network net;
+  PopId pop = net.add_pop("pop", util::TimeZone::utc());
+  const int n = static_cast<int>(rng.range(3, 10));
+  for (int i = 0; i < n; ++i) {
+    net.add_router("r" + std::to_string(i), pop, RouterRole::kCore,
+                   Ipv4Addr(0x0AFF0000u + i));
+  }
+  std::uint32_t subnet = 0x0A000000;
+  const int m = static_cast<int>(rng.range(n - 1, 2 * n + 2));
+  for (int i = 0; i < m; ++i) {
+    auto x = static_cast<std::uint32_t>(rng.below(n));
+    auto y = static_cast<std::uint32_t>(rng.below(n - 1));
+    if (y >= x) ++y;
+    if (i % 5 == 0 && i > 0) {  // a parallel link beside the previous one
+      const topology::LogicalLink& prev = net.links().back();
+      x = net.interface(prev.side_a).router.value();
+      y = net.interface(prev.side_b).router.value();
+    }
+    connect(net, RouterId(x), RouterId(y), static_cast<int>(rng.range(1, 3)),
+            subnet);
+  }
+  OspfSim ospf(net);
+  std::vector<util::TimeSec> times =
+      random_weight_changes(rng, ospf, static_cast<int>(rng.range(1, 8)), 3);
+  for (bool cached : {true, false}) {
+    ospf.set_cache_enabled(cached);
+    for (util::TimeSec t : times) {
+      for (const topology::Router& s : net.routers()) {
+        for (const topology::Router& d : net.routers()) {
+          expect_matches_reference(net, ospf, s.id, d.id, t);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SpfReferenceProperty,
+                         ::testing::Range(1, 13));
+
+TEST(Ospf, GeneratedIspMatchesBellmanFord) {
+  Network net = topology::generate_isp(topology::TopoParams{});
+  OspfSim ospf(net);
+  util::Rng rng(23);
+  std::vector<util::TimeSec> times = random_weight_changes(rng, ospf, 12, 20);
+  const std::size_t n = net.routers().size();
+  for (bool cached : {true, false}) {
+    ospf.set_cache_enabled(cached);
+    for (util::TimeSec t : times) {
+      for (int i = 0; i < 6; ++i) {
+        RouterId src(static_cast<std::uint32_t>(rng.below(n)));
+        RouterId dst(static_cast<std::uint32_t>(rng.below(n)));
+        expect_matches_reference(net, ospf, src, dst, t);
+      }
+    }
+  }
+}
+
+// Eight threads share one cold SPF memo, asking overlapping questions in
+// different orders: every answer must equal the serial one. Under
+// GRCA_SANITIZE=thread this is the race gate for the memo.
+TEST(Ospf, ConcurrentQueriesMatchSerial) {
+  Network net = topology::generate_isp(topology::TopoParams{});
+  util::Rng rng(31);
+  OspfSim ospf(net);
+  std::vector<util::TimeSec> times = random_weight_changes(rng, ospf, 6, 20);
+  struct Query {
+    RouterId src, dst;
+    util::TimeSec t;
+  };
+  struct Answer {
+    std::optional<int> dist;
+    std::vector<RouterId> routers;
+    std::vector<LogicalLinkId> links;
+    bool operator==(const Answer&) const = default;
+  };
+  // Few sources and times, so threads collide on the same memo keys.
+  std::vector<Query> queries;
+  const std::size_t n = net.routers().size();
+  for (int i = 0; i < 96; ++i) {
+    queries.push_back(
+        {RouterId(static_cast<std::uint32_t>(rng.below(6))),
+         RouterId(static_cast<std::uint32_t>(rng.below(n))),
+         times[rng.below(times.size())]});
+  }
+  auto answer = [&ospf](const Query& q) {
+    return Answer{ospf.distance(q.src, q.dst, q.t),
+                  ospf.routers_on_paths(q.src, q.dst, q.t),
+                  ospf.links_on_paths(q.src, q.dst, q.t)};
+  };
+  std::vector<Answer> want;
+  for (const Query& q : queries) want.push_back(answer(q));
+  ospf.set_cache_enabled(true);  // empties the memo: the threads start cold
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<Answer>> got(kThreads,
+                                       std::vector<Answer>(queries.size()));
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      for (std::size_t j = 0; j < queries.size(); ++j) {
+        std::size_t i = (j + static_cast<std::size_t>(k) * 13) % queries.size();
+        got[k][i] = answer(queries[i]);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int k = 0; k < kThreads; ++k) EXPECT_EQ(got[k], want) << "thread " << k;
 }
 
 // ---- BGP ---------------------------------------------------------------
