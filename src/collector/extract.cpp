@@ -26,6 +26,33 @@ namespace {
 
 constexpr TimeSec kForever = std::numeric_limits<TimeSec>::max();
 
+// Field names and attr keys the retrievals test, compared by id.
+const util::Symbol kCpu5min("cpu5min");
+const util::Symbol kIfUtil("ifutil");
+const util::Symbol kIfCorrupt("ifcorrupt");
+const util::Symbol kDelay("delay");
+const util::Symbol kLoss("loss");
+const util::Symbol kTput("tput");
+const util::Symbol kRtt("rtt");
+const util::Symbol kLoad("load");
+const util::Symbol kPolicyChange("policy-change");
+const util::Symbol kIngressKey("ingress");
+const util::Symbol kEgressKey("egress");
+const util::Symbol kNexthopKey("nexthop");
+const util::Symbol kNodeKey("node");
+const util::Symbol kClientKey("client");
+const util::Symbol kPrefixKey("prefix");
+
+/// "<a>|<b>": the key of a pairing or flood.
+std::string join_key(std::string_view a, std::string_view b) {
+  std::string key;
+  key.reserve(a.size() + 1 + b.size());
+  key += a;
+  key += '|';
+  key += b;
+  return key;
+}
+
 /// An instance waiting in the fold for its emit, with what orders it among
 /// equal-start instances of its name (see the emit order in extract.h).
 struct Pending {
@@ -484,21 +511,23 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
   switch (r.source) {
     case SourceType::kSyslog: {
       const std::string& body = r.body;
+      const std::string_view router = r.router.view();
       std::string iface, token;
       bool up = false;
       if (parse_updown(body, "%LINK-3-UPDOWN", iface, up)) {
-        observe_updown(link_flaps, r.router + "|" + iface, r.utc, up);
+        observe_updown(link_flaps, join_key(router, iface), r.utc, up);
       } else if (parse_updown(body, "%LINEPROTO-5-UPDOWN", iface, up)) {
-        observe_updown(proto_flaps, r.router + "|" + iface, r.utc, up);
+        observe_updown(proto_flaps, join_key(router, iface), r.utc, up);
       } else if (util::contains(body, "%BGP-5-ADJCHANGE")) {
         if (!token_after(body, "neighbor ", token)) break;
         bool session_up = util::contains(body, " Up");
-        observe_updown(bgp_flaps, r.router + "|" + token, r.utc, session_up);
+        observe_updown(bgp_flaps, join_key(router, token), r.utc,
+                       session_up);
       } else if (util::contains(body, "%BGP-5-NOTIFICATION")) {
         if (!token_after(body, "neighbor ", token)) break;
         EventInstance inst;
         inst.when = {r.utc, r.utc};
-        inst.where = Location::router_neighbor(r.router, token);
+        inst.where = Location::router_neighbor(r.router.str(), token);
         if (util::contains(body, "hold time expired")) {
           inst.name = "ebgp-hte";
         } else if (util::contains(body, "administrative reset")) {
@@ -509,10 +538,10 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
         add(std::move(inst));
       } else if (util::contains(body, "%SYS-5-RESTART")) {
         add(EventInstance{"router-reboot", {r.utc, r.utc},
-                          Location::router(r.router), {}});
+                          Location::router(r.router.str()), {}});
       } else if (util::contains(body, "%SYS-1-CPURISINGTHRESHOLD")) {
         add(EventInstance{"cpu-high-spike", {r.utc, r.utc},
-                          Location::router(r.router), {}});
+                          Location::router(r.router.str()), {}});
       } else if (util::contains(body, "%PIM-5-NBRCHG")) {
         // "%PIM-5-NBRCHG: VRF <vpn>: neighbor <ip> DOWN|UP"
         std::string vpn, nbr;
@@ -526,36 +555,42 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
             EventInstance inst;
             inst.name = "uplink-pim-adjacency-change";
             inst.when = {r.utc, r.utc};
-            inst.where = Location::router(r.router);
+            inst.where = Location::router(r.router.str());
             inst.attrs["neighbor"] = nbr;
             add(std::move(inst));
           }
         } else {
-          observe_updown(pim_flaps, r.router + "|" + nbr + "|" + vpn, r.utc,
-                         adj_up);
+          observe_updown(pim_flaps, join_key(join_key(router, nbr), vpn),
+                         r.utc, adj_up);
         }
       } else if (util::contains(body, "%MCE-2-CRASH")) {
+        // A slot that is not a number yields no instance.
         std::string slot;
-        if (token_after(body, "slot ", slot)) {
+        if (!token_after(body, "slot ", slot)) break;
+        if (auto n = util::parse_number<int>(slot)) {
           add(EventInstance{"linecard-crash",
                             {r.utc, r.utc},
-                            Location::line_card(r.router, std::stoi(slot)),
+                            Location::line_card(r.router.str(), *n),
                             {}});
         }
       }
       break;
     }
     case SourceType::kSnmp: {
-      if (r.field == "cpu5min" && r.value >= options.cpu_avg_threshold) {
+      if (r.field == kCpu5min && r.value >= options.cpu_avg_threshold) {
         add(EventInstance{"cpu-high-avg", {r.utc - 300, r.utc},
-                          Location::router(r.router), {}});
-      } else if (r.field == "ifutil" && r.value >= options.util_threshold) {
+                          Location::router(r.router.str()), {}});
+      } else if (r.field == kIfUtil && r.value >= options.util_threshold) {
         add(EventInstance{"link-congestion", {r.utc - 300, r.utc},
-                          Location::interface(r.router, r.interface), {}});
-      } else if (r.field == "ifcorrupt" &&
+                          Location::interface(r.router.str(),
+                                              r.interface.str()),
+                          {}});
+      } else if (r.field == kIfCorrupt &&
                  r.value >= options.corrupt_threshold) {
         add(EventInstance{"link-loss", {r.utc - 300, r.utc},
-                          Location::interface(r.router, r.interface), {}});
+                          Location::interface(r.router.str(),
+                                              r.interface.str()),
+                          {}});
       }
       break;
     }
@@ -573,7 +608,7 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
       EventInstance inst;
       inst.name = std::move(name);
       inst.when = {r.utc, r.utc};
-      inst.where = Location::layer1(r.device);
+      inst.where = Location::layer1(r.device.str());
       std::string ckt;
       if (token_after(r.body, "circuit ", ckt)) inst.attrs["circuit"] = ckt;
       add(std::move(inst));
@@ -582,7 +617,7 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
     case SourceType::kTacacs: {
       const std::string& body = r.body;
       std::string iface, vpn;
-      auto router = net.find_router(r.router);
+      auto router = net.find_router(r.router.view());
       if (util::contains(body, "max-metric router-lsa")) {
         // Router-wide cost-out (or cost-in when prefixed with "no").
         bool cost_in = util::contains(body, "no max-metric");
@@ -592,7 +627,7 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
           if (ifc.kind != topology::InterfaceKind::kBackbone) continue;
           add(EventInstance{cost_in ? "cmd-cost-in" : "cmd-cost-out",
                             {r.utc, r.utc},
-                            Location::interface(r.router, ifc.name),
+                            Location::interface(r.router.str(), ifc.name),
                             {}});
         }
       } else if (util::contains(body, "set ospf metric") &&
@@ -600,81 +635,86 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
         bool cost_out = util::contains(body, "metric 65535");
         add(EventInstance{cost_out ? "cmd-cost-out" : "cmd-cost-in",
                           {r.utc, r.utc},
-                          Location::interface(r.router, iface),
+                          Location::interface(r.router.str(), iface),
                           {}});
       } else if (util::contains(body, "mvpn") &&
                  token_after(body, "vrf ", vpn)) {
         EventInstance inst;
         inst.name = "pim-config-change";
         inst.when = {r.utc, r.utc};
-        inst.where = Location::router(r.router);
+        inst.where = Location::router(r.router.str());
         inst.attrs["vpn"] = vpn;
         add(std::move(inst));
       }
       break;
     }
     case SourceType::kWorkflowLog: {
-      add(EventInstance{"workflow-" + r.field,  // e.g. workflow-provisioning
+      add(EventInstance{"workflow-" + r.field.str(),  // workflow-provisioning
                         {r.utc, r.utc},
-                        Location::router(r.router),
+                        Location::router(r.router.str()),
                         {}});
       break;
     }
     case SourceType::kOspfMon: {
-      auto router = net.find_router(r.router);
+      auto router = net.find_router(r.router.view());
       if (!router) break;
-      auto iface = net.find_interface(*router, r.interface);
+      auto iface = net.find_interface(*router, r.interface.view());
       if (!iface || !net.interface(*iface).link.valid()) break;
       add(EventInstance{"ospf-reconvergence", {r.utc, r.utc},
-                        Location::interface(r.router, r.interface), {}});
+                        Location::interface(r.router.str(), r.interface.str()),
+                        {}});
       observe_reading(r.utc, net.interface(*iface).link,
                       static_cast<int>(r.value));
       break;
     }
     case SourceType::kPerfMon: {
-      auto in = r.attrs.find("ingress");
-      auto out = r.attrs.find("egress");
+      auto in = r.attrs.find(kIngressKey);
+      auto out = r.attrs.find(kEgressKey);
       if (in == r.attrs.end() || out == r.attrs.end()) break;
       std::string name;
-      if (r.field == "delay" && r.value >= options.delay_threshold) {
+      if (r.field == kDelay && r.value >= options.delay_threshold) {
         name = "innet-delay-increase";
-      } else if (r.field == "loss" && r.value >= options.loss_threshold) {
+      } else if (r.field == kLoss && r.value >= options.loss_threshold) {
         name = "innet-loss-increase";
-      } else if (r.field == "tput" &&
+      } else if (r.field == kTput &&
                  r.value <= options.innet_tput_threshold) {
         name = "innet-tput-drop";
       } else {
         break;
       }
       add(EventInstance{std::move(name), {r.utc, r.utc},
-                        Location::pop_pair(in->second, out->second), {}});
+                        Location::pop_pair(in->second.str(),
+                                           out->second.str()),
+                        {}});
       break;
     }
     case SourceType::kCdnMon: {
-      auto node = r.attrs.find("node");
-      auto client = r.attrs.find("client");
+      auto node = r.attrs.find(kNodeKey);
+      auto client = r.attrs.find(kClientKey);
       if (node == r.attrs.end() || client == r.attrs.end()) break;
-      if (r.field == "rtt" && r.value >= options.rtt_threshold) {
+      if (r.field == kRtt && r.value >= options.rtt_threshold) {
         add(EventInstance{"cdn-rtt-increase", {r.utc, r.utc},
-                          Location::cdn_client(node->second, client->second),
+                          Location::cdn_client(node->second.str(),
+                                               client->second.str()),
                           {}});
-      } else if (r.field == "tput" && r.value <= options.tput_threshold) {
+      } else if (r.field == kTput && r.value <= options.tput_threshold) {
         add(EventInstance{"cdn-tput-drop", {r.utc, r.utc},
-                          Location::cdn_client(node->second, client->second),
+                          Location::cdn_client(node->second.str(),
+                                               client->second.str()),
                           {}});
       }
       break;
     }
     case SourceType::kServerLog: {
-      auto node = r.attrs.find("node");
+      auto node = r.attrs.find(kNodeKey);
       if (node == r.attrs.end()) break;
-      if (r.field == "policy-change") {
+      if (r.field == kPolicyChange) {
         add(EventInstance{"cdn-policy-change", {r.utc, r.utc},
-                          Location::cdn_node(node->second), {}});
-      } else if (r.field == "load" &&
+                          Location::cdn_node(node->second.str()), {}});
+      } else if (r.field == kLoad &&
                  r.value >= options.server_load_threshold) {
         add(EventInstance{"cdn-server-issue", {r.utc, r.utc},
-                          Location::cdn_node(node->second), {}});
+                          Location::cdn_node(node->second.str()), {}});
       }
       break;
     }
@@ -682,10 +722,11 @@ void EventExtractor::Fold::observe(const NormalizedRecord& r, bool borrowed) {
       // Egress changes are handled by extract_egress_changes; here the
       // feed is watched for announce bursts (the route-leak signature).
       if (r.body != "announce") break;
-      auto egress = r.attrs.find("egress");
-      auto nexthop = r.attrs.find("nexthop");
+      auto egress = r.attrs.find(kEgressKey);
+      auto nexthop = r.attrs.find(kNexthopKey);
       if (egress == r.attrs.end() || nexthop == r.attrs.end()) break;
-      observe_announce(egress->second + "|" + nexthop->second, r.utc);
+      observe_announce(join_key(egress->second.view(), nexthop->second.view()),
+                       r.utc);
       break;
     }
   }
@@ -720,9 +761,15 @@ void EventExtractor::extract_egress_changes(
     EventStore& store) const {
   for (const NormalizedRecord& r : records) {
     if (r.source != SourceType::kBgpMon) continue;
-    auto prefix_it = r.attrs.find("prefix");
+    auto prefix_it = r.attrs.find(kPrefixKey);
     if (prefix_it == r.attrs.end()) continue;
-    util::Ipv4Prefix prefix = util::Ipv4Prefix::parse(prefix_it->second);
+    // A malformed prefix yields no instance (routing replay skips it too).
+    util::Ipv4Prefix prefix;
+    try {
+      prefix = util::Ipv4Prefix::parse(prefix_it->second.view());
+    } catch (const ParseError&) {
+      continue;
+    }
     // A representative destination inside the prefix.
     util::Ipv4Addr rep(prefix.address().value() +
                        (prefix.length() < 32 ? 1u : 0u));

@@ -8,23 +8,23 @@
 // takes place as data is ingested into the Data Collector" (paper §II-A).
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "telemetry/records.h"
 
 namespace grca::collector {
 
+/// Names are interned, as in RawRecord.
 struct NormalizedRecord {
   telemetry::SourceType source = telemetry::SourceType::kSyslog;
+  util::Symbol router;  // canonical router name ("" when not router-scoped)
   util::TimeSec utc = 0;
-  std::string router;     // canonical router name ("" when not router-scoped)
-  std::string device;     // layer-1 device / raw device name
-  std::string interface;  // interface name when interface-scoped
-  std::string field;
+  util::Symbol device;     // layer-1 device / raw device name
+  util::Symbol interface;  // interface name when interface-scoped
+  util::Symbol field;
   std::string body;
   double value = 0.0;
-  std::map<std::string, std::string> attrs;
+  telemetry::Attrs attrs;
 };
 
 /// One-line rendering for drill-down output.

@@ -13,7 +13,9 @@
 // metric).
 #pragma once
 
+#include <array>
 #include <compare>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,8 +54,27 @@ class Normalizer {
   std::size_t dropped() const noexcept { return dropped_; }
 
  private:
+  /// The naming conventions a device name can arrive in.
+  enum Convention : std::uint8_t {
+    kUpperRouter,  // syslog: the router name in uppercase
+    kFqdn,         // SNMP: "<router>.net.example"
+    kRouter,       // the canonical router name
+    kLayer1,       // a layer-1 device name
+    kConventions,
+  };
+  /// A device name resolved under one convention.
+  struct Resolved {
+    util::Symbol name;  // canonical router (or layer-1 device) name
+    const util::TimeZone* zone = nullptr;  // its PoP's
+    bool known = false;
+    bool seen = false;  // resolved already
+  };
+
   bool normalize_impl(const telemetry::RawRecord& raw,
                       NormalizedRecord& out) const;
+  /// `name` under `convention`, memoized by symbol id.
+  const Resolved& resolve(Convention convention, util::Symbol name) const;
+  Resolved lookup(Convention convention, std::string_view name) const;
   /// Counts an unknown-device record; always false.
   bool reject() const {
     ++dropped_;
@@ -62,6 +83,8 @@ class Normalizer {
 
   const topology::Network& net_;
   util::StringMap<topology::Layer1DeviceId> l1_by_name_;
+  /// Per convention, indexed by the device name's symbol id.
+  mutable std::array<std::vector<Resolved>, kConventions> resolved_;
   obs::FeedHealthMonitor* feed_health_ = nullptr;
   mutable std::size_t dropped_ = 0;
   /// Highest UTC seen so far: the arrival-time proxy for feed lag (records

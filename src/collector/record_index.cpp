@@ -17,21 +17,37 @@ RecordIndex::RecordIndex(std::vector<NormalizedRecord> records)
   if (!std::is_sorted(records_.begin(), records_.end(), by_utc)) {
     std::stable_sort(records_.begin(), records_.end(), by_utc);
   }
+  // Counting sort by router: one pass sizes each router's span, a second
+  // fills the spans in record (utc) order.
+  for (const NormalizedRecord& r : records_) {
+    if (!r.router.empty()) ++router_spans_[r.router].second;
+  }
+  std::uint32_t end = 0;
+  for (auto& [router, span] : router_spans_) {
+    span.first = end;
+    end += span.second;
+    span.second = span.first;  // the fill cursor, until the pass below
+  }
+  by_router_.resize(end);
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    if (!records_[i].router.empty()) {
-      by_router_[records_[i].router].push_back(i);
-    }
+    if (records_[i].router.empty()) continue;
+    by_router_[router_spans_.find(records_[i].router)->second.second++] =
+        static_cast<std::uint32_t>(i);
   }
 }
 
 std::vector<const NormalizedRecord*> RecordIndex::on_router(
-    const std::string& router, util::TimeSec from, util::TimeSec to) const {
+    std::string_view router, util::TimeSec from, util::TimeSec to) const {
   std::vector<const NormalizedRecord*> out;
-  auto it = by_router_.find(router);
-  if (it == by_router_.end()) return out;
-  const auto& idx = it->second;
+  // A name never interned is on no record.
+  auto symbol = util::Symbol::find(router);
+  if (!symbol) return out;
+  auto it = router_spans_.find(*symbol);
+  if (it == router_spans_.end()) return out;
+  std::span<const std::uint32_t> idx(by_router_.data() + it->second.first,
+                                     by_router_.data() + it->second.second);
   auto first = std::lower_bound(idx.begin(), idx.end(), from,
-                                [this](std::size_t i, util::TimeSec v) {
+                                [this](std::uint32_t i, util::TimeSec v) {
                                   return records_[i].utc < v;
                                 });
   for (auto i = first; i != idx.end() && records_[*i].utc <= to; ++i) {

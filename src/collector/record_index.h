@@ -8,8 +8,11 @@
 // analyzed", paper §IV-B).
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "collector/normalized.h"
@@ -23,7 +26,7 @@ class RecordIndex {
   explicit RecordIndex(std::vector<NormalizedRecord> records);
 
   /// Records on `router` within [from, to], time-ordered.
-  std::vector<const NormalizedRecord*> on_router(const std::string& router,
+  std::vector<const NormalizedRecord*> on_router(std::string_view router,
                                                  util::TimeSec from,
                                                  util::TimeSec to) const;
 
@@ -36,8 +39,11 @@ class RecordIndex {
 
  private:
   std::vector<NormalizedRecord> records_;  // sorted by utc
-  // router name -> indices into records_, time-ordered
-  std::unordered_map<std::string, std::vector<std::size_t>> by_router_;
+  /// Indices into records_, grouped by router and time-ordered per router.
+  std::vector<std::uint32_t> by_router_;
+  /// router -> its [begin, end) in by_router_
+  std::unordered_map<util::Symbol, std::pair<std::uint32_t, std::uint32_t>>
+      router_spans_;
 };
 
 }  // namespace grca::collector

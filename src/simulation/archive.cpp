@@ -44,16 +44,25 @@ void write_corpus(const fs::path& dir, const topology::Network& net,
 
 std::vector<TruthEntry> read_truth(const fs::path& dir) {
   std::vector<TruthEntry> truth;
-  std::ifstream in(dir / "truth.tsv");
+  const fs::path path = dir / "truth.tsv";
+  std::ifstream in(path);
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
+    auto fail = [&](const std::string& why) {
+      return ParseError(path.string() + ":" + std::to_string(line_no) + ": " +
+                        why);
+    };
     auto f = util::split(line, '\t');
     if (f.size() != 5) {
-      throw ParseError("truth.tsv: expected 5 tab-separated fields, got " +
-                       std::to_string(f.size()));
+      throw fail("expected 5 tab-separated fields, got " +
+                 std::to_string(f.size()));
     }
-    truth.push_back(TruthEntry{f[0], f[1], f[2], std::stoll(f[3]), f[4]});
+    auto time = util::parse_number<util::TimeSec>(f[3]);
+    if (!time) throw fail("bad time '" + f[3] + "'");
+    truth.push_back(TruthEntry{f[0], f[1], f[2], *time, f[4]});
   }
   return truth;
 }
@@ -62,7 +71,7 @@ ReplayCorpus read_corpus(const fs::path& dir) {
   if (!fs::is_directory(dir / "configs")) {
     throw ConfigError("replay corpus " + dir.string() + ": missing configs/");
   }
-  std::vector<std::string> configs;
+  std::vector<std::string> configs, config_names;
   std::stringstream inventory;
   {
     obs::ScopedSpan span("read-configs");
@@ -74,11 +83,13 @@ ReplayCorpus read_corpus(const fs::path& dir) {
     }
     std::sort(config_paths.begin(), config_paths.end());
     configs.reserve(config_paths.size());
+    config_names.reserve(config_paths.size());
     for (const fs::path& path : config_paths) {
       std::ifstream in(path);
       std::stringstream ss;
       ss << in.rdbuf();
       configs.push_back(ss.str());
+      config_names.push_back(path.string());
     }
     std::ifstream inv(dir / "inventory.txt");
     if (!inv) {
@@ -97,8 +108,9 @@ ReplayCorpus read_corpus(const fs::path& dir) {
   ReplayCorpus corpus;
   {
     obs::ScopedSpan span("build-network");
-    corpus.network =
-        topology::build_network_from_configs(configs, inventory.str());
+    corpus.network = topology::build_network_from_configs(
+        configs, inventory.str(), config_names,
+        (dir / "inventory.txt").string());
   }
   {
     obs::ScopedSpan span("read-records");

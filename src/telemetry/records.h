@@ -12,10 +12,11 @@
 // quirks; normalization is the *collector's* job, not the emitter's.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
+#include "telemetry/attrs.h"
+#include "util/symbol.h"
 #include "util/time.h"
 
 namespace grca::telemetry {
@@ -52,14 +53,16 @@ std::string_view to_string(SourceType type) noexcept;
 ///                 metric ("rtt","tput"), value = reading.
 ///  - serverlog:   attrs["node"], attrs["server"], field = "load".
 ///  - workflowlog: device = router, field = activity type.
+/// Names are interned (util::Symbol); the body is free text and is not, so
+/// the symbol table stays bounded by the network's vocabulary.
 struct RawRecord {
   SourceType source = SourceType::kSyslog;
+  util::Symbol device;
   util::TimeSec timestamp = 0;  // in the convention of the source (see above)
-  std::string device;
-  std::string field;
+  util::Symbol field;
   std::string body;
   double value = 0.0;
-  std::map<std::string, std::string> attrs;
+  Attrs attrs;
 
   /// True emission instant in UTC. Carried for generator-side ordering and
   /// for test assertions ONLY — the collector must never read it (it has to

@@ -34,9 +34,14 @@ std::vector<std::string> render_all_configs(const Network& net);
 std::string render_layer1_inventory(const Network& net);
 
 /// Reconstructs a Network from rendered configs and the layer-1 inventory.
-/// Throws grca::ParseError on malformed input and grca::ConfigError on
+/// Throws grca::ParseError on malformed input, naming the source and its
+/// 1-based line ("<name>:<line>: ..."), and grca::ConfigError on
 /// cross-snapshot inconsistencies (e.g. a link whose far end never appears).
-Network build_network_from_configs(const std::vector<std::string>& configs,
-                                   const std::string& layer1_inventory);
+/// `config_names` names configs[i] in errors (default "config <i+1>").
+Network build_network_from_configs(
+    const std::vector<std::string>& configs,
+    const std::string& layer1_inventory,
+    const std::vector<std::string>& config_names = {},
+    const std::string& inventory_name = "inventory");
 
 }  // namespace grca::topology

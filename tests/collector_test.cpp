@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <map>
 #include <random>
+#include <string>
 #include <tuple>
 
 #include "collector/extract.h"
@@ -194,19 +197,131 @@ TEST(Normalizer, StreamOrderIsFullFieldOrder) {
   // A permutation of the input: every raw record comes out once.
   std::vector<std::string> in_lines, out_lines;
   for (const RawRecord& r : stream) {
-    in_lines.push_back(r.device + "|" + r.field + "|" + r.body + "|" +
-                       r.attrs.at("user") + "|" +
+    in_lines.push_back(r.device.str() + "|" + r.field.str() + "|" + r.body +
+                       "|" + r.attrs.at("user").str() + "|" +
                        std::to_string(r.timestamp) + "|" +
                        std::to_string(r.value));
   }
   for (const NormalizedRecord& r : out) {
-    out_lines.push_back(r.router + "|" + r.field + "|" + r.body + "|" +
-                        r.attrs.at("user") + "|" + std::to_string(r.utc) +
+    out_lines.push_back(r.router.str() + "|" + r.field.str() + "|" + r.body +
+                        "|" + r.attrs.at("user").str() + "|" +
+                        std::to_string(r.utc) +
                         "|" + std::to_string(r.value));
   }
   std::sort(in_lines.begin(), in_lines.end());
   std::sort(out_lines.begin(), out_lines.end());
   EXPECT_EQ(out_lines, in_lines);
+}
+
+// The normalize order as it was defined over string fields, before names
+// were interned: utc, source, router, device, interface, field, body, value,
+// then the attrs as a std::map.
+using StringFields =
+    std::tuple<util::TimeSec, SourceType, std::string, std::string,
+               std::string, std::string, std::string, double,
+               std::map<std::string, std::string>>;
+
+StringFields string_fields(const NormalizedRecord& r) {
+  std::map<std::string, std::string> attrs;
+  for (const auto& [k, v] : r.attrs) attrs.emplace(k.str(), v.str());
+  return {r.utc,     r.source,      r.router.str(), r.device.str(),
+          r.interface.str(), r.field.str(), r.body,   r.value,
+          attrs};
+}
+
+TEST(Normalizer, MatchesStringOracle) {
+  // Names no other test uses, interned in reverse text order before any
+  // record exists, so symbol ids run against the string order. "r10" sorts
+  // before "r2": text order is not numeric order either.
+  std::vector<std::string> routers, ifaces, fields, users;
+  for (int i = 0; i < 12; ++i) {
+    routers.push_back("oracle-r" + std::to_string(i));
+  }
+  for (int i = 0; i < 5; ++i) {
+    ifaces.push_back("oracle-if" + std::to_string(i));
+    fields.push_back("oracle-f" + std::to_string(i));
+    users.push_back("oracle-u" + std::to_string(i));
+  }
+  auto upper = [](std::string s) {
+    for (char& c : s) c = static_cast<char>(std::toupper(c));
+    return s;
+  };
+  std::vector<std::string> vocabulary;
+  for (const std::string& r : routers) {
+    vocabulary.insert(vocabulary.end(),
+                      {r, upper(r), r + ".net.example"});
+  }
+  for (const auto* words : {&ifaces, &fields, &users}) {
+    vocabulary.insert(vocabulary.end(), words->begin(), words->end());
+  }
+  std::sort(vocabulary.rbegin(), vocabulary.rend());
+  for (const std::string& word : vocabulary) (void)util::Symbol(word);
+
+  t::Network net;
+  t::PopId east = net.add_pop("oracle-east", util::TimeZone::us_eastern());
+  t::PopId west = net.add_pop("oracle-west", util::TimeZone::us_pacific());
+  for (std::size_t i = 0; i < routers.size(); ++i) {
+    net.add_router(routers[i], i % 2 ? east : west,
+                   t::RouterRole::kProviderEdge,
+                   util::Ipv4Addr(0x0a010001u + static_cast<std::uint32_t>(i)));
+  }
+  std::mt19937 rng(5);
+  auto pick = [&](const std::vector<std::string>& from) {
+    return from[rng() % from.size()];
+  };
+  telemetry::RecordStream stream;
+  for (int i = 0; i < 3000; ++i) {
+    RawRecord r;
+    r.timestamp = 1000 + static_cast<util::TimeSec>(rng() % 4);
+    r.value = static_cast<double>(rng() % 3);
+    switch (rng() % 5) {
+      case 0:
+        r.source = SourceType::kSyslog;
+        r.device = upper(pick(routers));
+        r.timestamp += 8 * 3600;  // local time somewhere in the US
+        r.body = "%SYS-5-RESTART: " + std::to_string(rng() % 2);
+        break;
+      case 1:
+        r.source = SourceType::kSnmp;
+        r.device = pick(routers) + ".net.example";
+        r.field = pick(fields);
+        r.attrs = {{"interface", pick(ifaces)}};
+        break;
+      case 2:
+        r.source = SourceType::kTacacs;
+        r.device = pick(routers);
+        r.body = "cmd " + std::to_string(rng() % 2);
+        r.attrs = {{"user", pick(users)}};
+        break;
+      case 3:
+        r.source = SourceType::kWorkflowLog;
+        r.device = pick(routers);
+        r.field = pick(fields);
+        break;
+      default:
+        r.source = SourceType::kTacacs;
+        r.device = "oracle-ghost";  // unknown: dropped by both
+        break;
+    }
+    stream.push_back(r);
+  }
+
+  Normalizer one_by_one(net);
+  std::vector<StringFields> want;
+  for (const RawRecord& raw : stream) {
+    NormalizedRecord r;
+    if (one_by_one.normalize(raw, r)) want.push_back(string_fields(r));
+  }
+  std::stable_sort(want.begin(), want.end());
+  Normalizer batch(net);
+  std::vector<StringFields> got;
+  for (const NormalizedRecord& r : batch.normalize_stream(stream)) {
+    got.push_back(string_fields(r));
+  }
+  EXPECT_EQ(batch.dropped(), one_by_one.dropped());
+  EXPECT_GT(batch.dropped(), 0u);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
 }
 
 TEST(Normalizer, ReusedOutputRecordIsOverwritten) {
@@ -283,6 +398,48 @@ TEST(RoutingReplay, BgpAnnounceWithdrawReplayed) {
                                        600);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, egress);
+}
+
+/// A bgpmon announce of 203.0.113.0/24 at `at` with one attr replaced.
+RawRecord bgp_announce(const t::Network& net, util::TimeSec at,
+                       const std::string& key = "",
+                       const std::string& value = "") {
+  RawRecord r;
+  r.source = SourceType::kBgpMon;
+  r.timestamp = at;
+  r.body = "announce";
+  r.attrs = {{"aspathlen", "1"},         {"egress", net.routers()[4].name},
+             {"localpref", "100"},       {"med", "0"},
+             {"nexthop", "172.16.0.1"}, {"prefix", "203.0.113.0/24"}};
+  if (!key.empty()) r.attrs[key] = value;
+  return r;
+}
+
+/// Replays one malformed announce at 400 and a good one at 500: the bad one
+/// is counted in skipped() and the replay goes on.
+void expect_malformed_skipped(const std::string& key,
+                              const std::string& value) {
+  t::Network net = small_net();
+  telemetry::RecordStream stream = {bgp_announce(net, 400, key, value),
+                                    bgp_announce(net, 500)};
+  RebuiltRouting rebuilt(net);
+  ASSERT_NO_THROW(rebuilt.replay(Normalizer(net).normalize_stream(stream)));
+  EXPECT_EQ(rebuilt.skipped(), 1u);
+  const util::Ipv4Addr dst = util::Ipv4Addr::parse("203.0.113.9");
+  EXPECT_FALSE(rebuilt.bgp().best_egress(net.routers()[0].id, dst, 450));
+  EXPECT_TRUE(rebuilt.bgp().best_egress(net.routers()[0].id, dst, 600));
+}
+
+TEST(RoutingReplay, MalformedLocalPrefIsSkipped) {
+  expect_malformed_skipped("localpref", "abc");
+}
+
+TEST(RoutingReplay, MalformedPrefixIsSkipped) {
+  expect_malformed_skipped("prefix", "zz");
+}
+
+TEST(RoutingReplay, MalformedNexthopIsSkipped) {
+  expect_malformed_skipped("nexthop", "1.2.3");
 }
 
 // ---- Extraction ------------------------------------------------------------------
@@ -436,6 +593,29 @@ TEST(Extract, LinecardCrashSignature) {
   EXPECT_EQ(store.all("linecard-crash").size(), 1u);
   EXPECT_EQ(store.all("linecard-crash")[0].where.type,
             core::LocationType::kLineCard);
+}
+
+TEST(Extract, NonNumericLinecardSlotYieldsNoInstance) {
+  ExtractFixture f;
+  const t::Router& r = f.net.routers()[0];
+  f.eng.emitter().syslog(r.id, 7000,
+                         "%MCE-2-CRASH: Line card in slot X crashed, resetting");
+  f.eng.emitter().syslog(r.id, 7100, telemetry::msg::linecard_crash(2));
+  core::EventStore store;
+  ASSERT_NO_THROW(store = f.run());
+  ASSERT_EQ(store.all("linecard-crash").size(), 1u);
+  EXPECT_EQ(store.all("linecard-crash")[0].when.start, 7100);
+}
+
+TEST(Extract, MalformedPrefixYieldsNoEgressChange) {
+  ExtractFixture f;
+  telemetry::RecordStream stream = {bgp_announce(f.net, 400, "prefix", "zz")};
+  auto records = Normalizer(f.net).normalize_stream(stream);
+  core::EventStore store;
+  std::vector<t::RouterId> observers = {f.net.routers()[0].id};
+  ASSERT_NO_THROW(EventExtractor(f.net).extract_egress_changes(
+      records, f.bgp, observers, store));
+  EXPECT_TRUE(store.all("bgp-egress-change").empty());
 }
 
 TEST(Extract, EgressChangeDetection) {

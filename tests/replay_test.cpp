@@ -305,6 +305,80 @@ TEST(ReplayCorpus, MalformedRecordNamesFileAndLine) {
   std::filesystem::remove_all(dir);
 }
 
+/// Writes a small corpus of the fixture's network to a fresh `name` dir.
+std::filesystem::path small_corpus(const char* name) {
+  const ReplayFixture& f = fixture();
+  std::filesystem::path dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  telemetry::RecordStream records(f.study.records.begin(),
+                                  f.study.records.begin() + 3);
+  sim::write_corpus(dir, f.sim_net, records, f.study.truth);
+  return dir;
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// read_corpus must throw a ParseError whose text has every one of `parts`.
+void expect_parse_error(const std::filesystem::path& dir,
+                        std::initializer_list<std::string> parts) {
+  try {
+    sim::read_corpus(dir);
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    std::string what = e.what();
+    for (const std::string& part : parts) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReplayCorpus, MalformedConfigNumberNamesFileAndLine) {
+  std::filesystem::path dir = small_corpus("grca_replay_bad_config_test");
+  std::filesystem::path cfg;
+  for (const auto& e : std::filesystem::directory_iterator(dir / "configs")) {
+    if (cfg.empty() || e.path() < cfg) cfg = e.path();
+  }
+  std::string text = read_text(cfg);
+  std::size_t card = text.find(" card ");
+  ASSERT_NE(card, std::string::npos);
+  const auto line = 1 + std::count(text.begin(),
+                                   text.begin() + static_cast<long>(card),
+                                   '\n');
+  text.replace(card, text.find('\n', card) - card, " card x");
+  std::ofstream(cfg) << text;
+  expect_parse_error(dir, {cfg.string() + ":" + std::to_string(line) + ": ",
+                           "bad card slot 'x'"});
+}
+
+TEST(ReplayCorpus, MalformedInventoryNumberNamesFileAndLine) {
+  std::filesystem::path dir = small_corpus("grca_replay_bad_inventory_test");
+  std::string text = read_text(dir / "inventory.txt");
+  const auto lines = std::count(text.begin(), text.end(), '\n');
+  text += "cdn-node n1 nyc servers 4x ingress r1\n";
+  std::ofstream(dir / "inventory.txt") << text;
+  expect_parse_error(dir, {(dir / "inventory.txt").string() + ":" +
+                               std::to_string(lines + 1) + ": ",
+                           "bad server count '4x'"});
+}
+
+TEST(ReplayCorpus, MalformedTruthTimeNamesFileAndLine) {
+  std::filesystem::path dir = small_corpus("grca_replay_bad_truth_test");
+  std::string text = read_text(dir / "truth.tsv");
+  // Line 1 is the header; break the time of the second entry (line 3).
+  std::size_t line3 = text.find('\n', text.find('\n') + 1) + 1;
+  std::size_t time = line3;
+  for (int tab = 0; tab < 3; ++tab) time = text.find('\t', time) + 1;
+  text.insert(time, "t");
+  std::ofstream(dir / "truth.tsv") << text;
+  expect_parse_error(dir, {(dir / "truth.tsv").string() + ":3: ", "bad time"});
+}
+
 TEST(ReplayCorpus, ReadSpansCoverIngestHead) {
   const ReplayFixture& f = fixture();
   std::filesystem::path dir =

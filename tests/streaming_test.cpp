@@ -140,6 +140,43 @@ TEST(Streaming, LateRecordsDroppedNotCrashed) {
   EXPECT_EQ(stream.dropped_late(), 1u);
 }
 
+// Malformed monitor and syslog tokens skip their record, in the stream as in
+// batch: a bgpmon announce with a non-numeric localpref, a bad prefix or a
+// bad next hop is counted by routing replay, and a line-card crash with a
+// non-numeric slot yields no instance.
+TEST(Streaming, MalformedMonitorTokensAreSkipped) {
+  StreamFixture f;
+  StreamingRca stream(f.rca_net, bgp::build_graph(), f.stream_options());
+  const telemetry::RawRecord& first = f.study.records.front();
+  const std::string egress = f.rca_net.routers()[0].name;
+  for (auto [key, value] :
+       {std::pair<std::string, std::string>{"localpref", "abc"},
+        {"prefix", "zz"},
+        {"nexthop", "1.2.3"}}) {
+    telemetry::RawRecord r;
+    r.source = telemetry::SourceType::kBgpMon;
+    r.timestamp = first.true_utc;
+    r.true_utc = first.true_utc;
+    r.body = "announce";
+    r.attrs = {{"egress", egress},          {"localpref", "100"},
+               {"nexthop", "172.16.0.1"}, {"prefix", "203.0.113.0/24"}};
+    r.attrs[key] = value;
+    ASSERT_NO_THROW(stream.ingest(r));
+  }
+  auto syslog = std::find_if(
+      f.study.records.begin(), f.study.records.end(),
+      [](const telemetry::RawRecord& r) {
+        return r.source == telemetry::SourceType::kSyslog;
+      });
+  ASSERT_NE(syslog, f.study.records.end());
+  telemetry::RawRecord crash = *syslog;
+  crash.body = "%MCE-2-CRASH: Line card in slot X crashed, resetting";
+  ASSERT_NO_THROW(stream.ingest(crash));
+  ASSERT_NO_THROW(stream.advance(syslog->true_utc + 3 * util::kHour));
+  ASSERT_NO_THROW(stream.drain());
+  EXPECT_TRUE(stream.store().all("linecard-crash").empty());
+}
+
 // The skew bound is inclusive: a record exactly max_skew behind the
 // high-water mark is still accepted; one second older is dropped. (Before
 // any advance() the frozen cut is still unset, so only the skew condition

@@ -360,6 +360,32 @@ TEST(Config, ParserRejectsGarbage) {
   EXPECT_THROW(build_network_from_configs({"pop nyc\n"}, ""), ParseError);
 }
 
+TEST(Config, MalformedNumberNamesSourceAndLine) {
+  const std::string cfg = "hostname r1\npop nyc\ninterface ge-0/0/0\n card x\n";
+  try {
+    build_network_from_configs({cfg}, "", {"r1.cfg"});
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "r1.cfg:4: bad card slot 'x'");
+  }
+  try {
+    build_network_from_configs({"hostname r1\ntimezone UTC 5h\n"}, "");
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "config 1:2: bad timezone offset '5h'");
+  }
+}
+
+TEST(Config, InventoryMalformedNumberNamesLine) {
+  try {
+    build_network_from_configs(
+        {}, "\ncdn-node n1 nyc servers q ingress r1\n");
+    ADD_FAILURE() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "inventory:2: bad server count 'q'");
+  }
+}
+
 TEST(Config, ParserRejectsDanglingLinkPeer) {
   Network net = tiny_network();
   std::string cfg = render_config(net, *net.find_router("nyc-per1"));
