@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -147,26 +146,14 @@ std::vector<Line> tokenize(std::string_view text) {
   return out;
 }
 
-long long parse_int(const std::string& token, int line, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(token.c_str(), &end, 10);
-  if (errno != 0 || end == token.c_str() || *end != '\0') {
-    fail(line, std::string("expected integer ") + what + ", got '" + token +
-                   "'");
+/// Token `i` of `ln` read wholly as a number.
+template <typename T>
+T number(const Line& ln, std::size_t i, const char* what) {
+  try {
+    return util::to_number<T>(ln.tokens[i], what);
+  } catch (const ParseError& e) {
+    fail(ln.number, e.what());
   }
-  return v;
-}
-
-double parse_num(const std::string& token, int line, const char* what) {
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(token.c_str(), &end);
-  if (errno != 0 || end == token.c_str() || *end != '\0') {
-    fail(line, std::string("expected number ") + what + ", got '" + token +
-                   "'");
-  }
-  return v;
 }
 
 /// Lowercases a graph node label into a PoP-name-safe slug.
@@ -214,7 +201,7 @@ ParsedGraph parse_graph(std::string_view text) {
   if (nh.tokens.size() != 2 || nh.tokens[0] != "NODES") {
     fail(nh.number, "expected 'NODES <count>' header");
   }
-  long long n = parse_int(nh.tokens[1], nh.number, "node count");
+  long long n = number<long long>(nh, 1, "node count");
   if (n <= 0) fail(nh.number, "empty graph: node count must be positive");
 
   ParsedGraph g;
@@ -238,7 +225,7 @@ ParsedGraph parse_graph(std::string_view text) {
   if (eh.tokens.size() != 2 || eh.tokens[0] != "EDGES") {
     fail(eh.number, "expected 'EDGES <count>' header");
   }
-  long long m = parse_int(eh.tokens[1], eh.number, "edge count");
+  long long m = number<long long>(eh, 1, "edge count");
   if (m <= 0) fail(eh.number, "graph has no edges");
 
   std::unordered_set<std::string> edge_seen;
@@ -256,8 +243,8 @@ ParsedGraph parse_graph(std::string_view text) {
     if (!edge_seen.insert(e.label).second) {
       fail(ln.number, "duplicate edge label '" + e.label + "'");
     }
-    long long src = parse_int(ln.tokens[1], ln.number, "edge source");
-    long long dest = parse_int(ln.tokens[2], ln.number, "edge destination");
+    long long src = number<long long>(ln, 1, "edge source");
+    long long dest = number<long long>(ln, 2, "edge destination");
     if (src < 0 || src >= n || dest < 0 || dest >= n) {
       fail(ln.number, "edge endpoint out of range [0, " + std::to_string(n) +
                           ")");
@@ -267,11 +254,11 @@ ParsedGraph parse_graph(std::string_view text) {
     }
     e.src = static_cast<int>(src);
     e.dest = static_cast<int>(dest);
-    long long w = parse_int(ln.tokens[3], ln.number, "edge weight");
+    long long w = number<long long>(ln, 3, "edge weight");
     if (w <= 0) fail(ln.number, "edge weight must be positive");
     e.weight = static_cast<int>(std::min<long long>(w, 1 << 20));
     if (ln.tokens.size() >= 5) {
-      double bw_kbps = parse_num(ln.tokens[4], ln.number, "edge bandwidth");
+      double bw_kbps = number<double>(ln, 4, "edge bandwidth");
       if (bw_kbps < 0) fail(ln.number, "edge bandwidth must be non-negative");
       if (bw_kbps > 0) e.capacity_gbps = bw_kbps / 1e6;
     }
