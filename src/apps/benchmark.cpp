@@ -7,11 +7,9 @@
 #include <map>
 #include <sstream>
 
-#include "apps/bgp_flap_app.h"
-#include "apps/cdn_app.h"
-#include "apps/innet_app.h"
 #include "apps/pipeline.h"
 #include "apps/scoring.h"
+#include "apps/study.h"
 #include "obs/export.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -19,18 +17,6 @@
 namespace grca::apps {
 
 namespace {
-
-struct AppHooks {
-  core::DiagnosisGraph (*build_graph)();
-  std::string (*canonical)(const std::string&);
-};
-
-AppHooks hooks_for_app(const std::string& app) {
-  if (app == "bgp") return {bgp::build_graph, bgp::canonical_cause};
-  if (app == "cdn") return {cdn::build_graph, cdn::canonical_cause};
-  if (app == "innet") return {innet::build_graph, innet::canonical_cause};
-  throw ConfigError("benchmark: unknown application: " + app);
-}
 
 std::string ratio(double v) { return util::format_double(v, 4); }
 
@@ -46,37 +32,32 @@ void append_metrics(std::ostringstream& os, const BenchmarkCell& c,
   }
 }
 
-/// Micro-averaged aggregate over a set of cells.
-struct Aggregate {
-  std::size_t truth = 0, diagnosed = 0, correct = 0;
-
-  void add(const BenchmarkCell& c) {
-    truth += c.truth_total;
-    diagnosed += c.diagnosed;
-    correct += c.correct;
-  }
-  double precision() const {
-    return diagnosed == 0 ? 0.0
-                          : static_cast<double>(correct) /
-                                static_cast<double>(diagnosed);
-  }
-  double recall() const {
-    return truth == 0 ? 0.0
-                      : static_cast<double>(correct) /
-                            static_cast<double>(truth);
-  }
-  double f1() const {
-    double p = precision(), r = recall();
-    return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-  }
-};
-
 }  // namespace
+
+MicroAverage overall(const BenchmarkResult& result) {
+  MicroAverage all;
+  for (const BenchmarkCell& c : result.cells) all.add(c);
+  return all;
+}
 
 std::uint64_t cell_seed(std::uint64_t base, std::string_view topology,
                         std::string_view scenario) {
   return base ^ util::stable_hash(topology) ^
          (util::stable_hash(scenario) << 1);
+}
+
+sim::StudyOutput cell_corpus(const topology::Network& net,
+                             std::string_view topology,
+                             sim::ScenarioClass scenario,
+                             const BenchmarkOptions& options) {
+  sim::ScenarioParams params;
+  params.days = options.days;
+  params.target_symptoms = options.target_symptoms;
+  params.noise = options.noise;
+  // Cell seeds depend only on (base seed, topology name, scenario name):
+  // matrix composition never shifts an existing cell's corpus.
+  params.seed = cell_seed(options.seed, topology, sim::to_string(scenario));
+  return sim::run_scenario(scenario, net, params);
 }
 
 BenchmarkResult run_benchmark(const std::vector<BenchmarkTopology>& topologies,
@@ -104,30 +85,19 @@ BenchmarkResult run_benchmark(const std::vector<BenchmarkTopology>& topologies,
       cell.scenario = sim::to_string(c);
       cell.app = sim::scenario_app(c);
 
-      sim::ScenarioParams params;
-      params.days = options.days;
-      params.target_symptoms = options.target_symptoms;
-      params.noise = options.noise;
-      // Cell seeds depend only on (base seed, topology name, scenario
-      // name): matrix composition never shifts an existing cell's corpus.
-      params.seed = cell_seed(options.seed, topo.name, cell.scenario);
-      sim::StudyOutput study = sim::run_scenario(c, net, params);
+      sim::StudyOutput study = cell_corpus(net, topo.name, c, options);
       cell.records = study.records.size();
       cell.truth_total = study.truth.size();
-
-      AppHooks hooks = hooks_for_app(cell.app);
-      std::vector<topology::RouterId> observers;
-      if (cell.app == "cdn" && !net.cdn_nodes().empty()) {
-        observers = net.cdn_nodes().front().ingress_routers;
-      }
+      const Study& app = find_study(cell.app);
 
       auto t0 = std::chrono::steady_clock::now();
-      Pipeline pipeline(net, study.records, {}, observers);
+      Pipeline pipeline(net, study.records, {}, app.egress_observers(net));
       std::vector<core::Diagnosis> diagnoses =
-          pipeline.diagnose_all(hooks.build_graph(), options.threads);
+          pipeline.diagnose_all(app.build_graph(), options.threads);
       auto t1 = std::chrono::steady_clock::now();
 
-      Score score = score_diagnoses(diagnoses, study.truth, hooks.canonical);
+      Score score =
+          score_diagnoses(diagnoses, study.truth, app.canonical_cause);
       cell.diagnosed = score.diagnosed_total;
       cell.matched = score.matched;
       cell.correct = score.correct;
@@ -174,16 +144,12 @@ std::string render_scorecard_json(const BenchmarkResult& result) {
   }
   os << "  ],\n";
 
-  std::map<std::string, Aggregate> by_scenario;
-  Aggregate overall;
-  for (const BenchmarkCell& c : result.cells) {
-    by_scenario[c.scenario].add(c);
-    overall.add(c);
-  }
+  std::map<std::string, MicroAverage> by_scenario;
+  for (const BenchmarkCell& c : result.cells) by_scenario[c.scenario].add(c);
   os << "  \"scenario_summary\": {\n";
   // Canonical scenario order, not map order.
   for (std::size_t i = 0; i < result.scenarios.size(); ++i) {
-    const Aggregate& a = by_scenario[result.scenarios[i]];
+    const MicroAverage& a = by_scenario[result.scenarios[i]];
     os << "    \"" << obs::json_escape(result.scenarios[i])
        << "\": {\"precision\": " << ratio(a.precision())
        << ", \"recall\": " << ratio(a.recall())
@@ -191,9 +157,10 @@ std::string render_scorecard_json(const BenchmarkResult& result) {
        << (i + 1 < result.scenarios.size() ? "," : "") << '\n';
   }
   os << "  },\n";
-  os << "  \"overall\": {\"precision\": " << ratio(overall.precision())
-     << ", \"recall\": " << ratio(overall.recall())
-     << ", \"f1\": " << ratio(overall.f1()) << "}\n";
+  const MicroAverage all = overall(result);
+  os << "  \"overall\": {\"precision\": " << ratio(all.precision())
+     << ", \"recall\": " << ratio(all.recall())
+     << ", \"f1\": " << ratio(all.f1()) << "}\n";
   os << "}\n";
   return os.str();
 }
@@ -207,7 +174,6 @@ std::string render_gate_json(const BenchmarkResult& result) {
        << "\": " << value;
     first = false;
   };
-  Aggregate overall;
   for (const BenchmarkCell& c : result.cells) {
     std::string base = c.topology + "." + c.scenario;
     emit(base + ".precision", ratio(c.precision));
@@ -217,11 +183,11 @@ std::string render_gate_json(const BenchmarkResult& result) {
       emit(base + ".records_per_min",
            util::format_double(c.records_per_min, 1));
     }
-    overall.add(c);
   }
-  emit("overall.precision", ratio(overall.precision()));
-  emit("overall.recall", ratio(overall.recall()));
-  emit("overall.f1", ratio(overall.f1()));
+  const MicroAverage all = overall(result);
+  emit("overall.precision", ratio(all.precision()));
+  emit("overall.recall", ratio(all.recall()));
+  emit("overall.f1", ratio(all.f1()));
   os << "\n}\n";
   return os.str();
 }

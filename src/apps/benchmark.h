@@ -60,11 +60,47 @@ struct BenchmarkResult {
   std::vector<BenchmarkCell> cells;  // topology-major, scenario-minor order
 };
 
+/// Micro-averaged precision/recall/F1 over a set of cells.
+struct MicroAverage {
+  std::size_t truth = 0, diagnosed = 0, correct = 0;
+
+  void add(const BenchmarkCell& c) {
+    truth += c.truth_total;
+    diagnosed += c.diagnosed;
+    correct += c.correct;
+  }
+  double precision() const {
+    return diagnosed == 0 ? 0.0
+                          : static_cast<double>(correct) /
+                                static_cast<double>(diagnosed);
+  }
+  double recall() const {
+    return truth == 0 ? 0.0
+                      : static_cast<double>(correct) /
+                            static_cast<double>(truth);
+  }
+  double f1() const {
+    double p = precision(), r = recall();
+    return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
+  }
+};
+
+/// The micro-average over every cell of the matrix.
+MicroAverage overall(const BenchmarkResult& result);
+
 /// The per-cell corpus seed: `base` mixed with stable hashes of the topology
-/// and scenario names. Exposed so other drivers (`grca learn`'s scenario
-/// mode) can regenerate the exact corpus of a benchmark cell.
+/// and scenario names.
 std::uint64_t cell_seed(std::uint64_t base, std::string_view topology,
                         std::string_view scenario);
+
+/// One cell's corpus: `scenario` generated on `net` at options' days,
+/// symptoms and noise, seeded by cell_seed(options.seed, topology,
+/// scenario). run_benchmark generates every cell through this, and `grca
+/// learn`'s scenario mode regenerates one with it.
+sim::StudyOutput cell_corpus(const topology::Network& net,
+                             std::string_view topology,
+                             sim::ScenarioClass scenario,
+                             const BenchmarkOptions& options);
 
 /// Runs the matrix. Cell corpora are deterministic in (options.seed,
 /// topology name, scenario name) — independent of matrix composition, so

@@ -24,6 +24,30 @@ Pipeline::Pipeline(const topology::Network& net,
                    const telemetry::RecordStream& raw,
                    collector::ExtractOptions options,
                    std::vector<topology::RouterId> egress_observers)
+    : Pipeline(net, raw, [&](const Pipeline& p) {
+        auto store = std::make_shared<core::EventStore>();
+        store->enable_metrics(obs::registry_ptr());
+        collector::EventExtractor extractor(net, options);
+        {
+          obs::ScopedSpan span("extract");
+          extractor.extract(p.index_.all(), *store);
+        }
+        if (!egress_observers.empty()) {
+          obs::ScopedSpan span("extract-egress");
+          extractor.extract_egress_changes(p.index_.all(), p.routing_.bgp(),
+                                           egress_observers, *store);
+        }
+        return store;
+      }) {}
+
+Pipeline::Pipeline(const topology::Network& net,
+                   const telemetry::RecordStream& raw,
+                   std::shared_ptr<const core::EventStoreView> events)
+    : Pipeline(net, raw, [&](const Pipeline&) { return std::move(events); }) {}
+
+Pipeline::Pipeline(const topology::Network& net,
+                   const telemetry::RecordStream& raw,
+                   const StoreSource& source)
     : net_(net),
       index_(build_index(net, raw, feed_health_)),
       routing_(net),
@@ -32,17 +56,7 @@ Pipeline::Pipeline(const topology::Network& net,
     obs::ScopedSpan span("routing-replay");
     routing_.replay(index_.all());
   }
-  store_.enable_metrics(obs::registry_ptr());
-  collector::EventExtractor extractor(net, options);
-  {
-    obs::ScopedSpan span("extract");
-    extractor.extract(index_.all(), store_);
-  }
-  if (!egress_observers.empty()) {
-    obs::ScopedSpan span("extract-egress");
-    extractor.extract_egress_changes(index_.all(), routing_.bgp(),
-                                     egress_observers, store_);
-  }
+  store_ = source(*this);
   // Gap gauges are relative to the end of the archive: a feed that went
   // quiet mid-archive shows up with a large gap here.
   if (!index_.all().empty()) {
@@ -51,32 +65,13 @@ Pipeline::Pipeline(const topology::Network& net,
   // Sort and intern everything now, while construction is still
   // single-threaded: diagnose_all then starts from a warm store and the
   // engines' join memos key on interned ids immediately.
-  // (Callers adding more events via store() just re-dirty the buckets.)
-  store_.warm();
-}
-
-Pipeline::Pipeline(const topology::Network& net,
-                   const telemetry::RecordStream& raw,
-                   std::shared_ptr<const core::EventStoreView> events)
-    : net_(net),
-      index_(build_index(net, raw, feed_health_)),
-      routing_(net),
-      external_(std::move(events)),
-      mapper_(net, routing_.ospf(), routing_.bgp()) {
-  {
-    obs::ScopedSpan span("routing-replay");
-    routing_.replay(index_.all());
-  }
-  if (!index_.all().empty()) {
-    feed_health_.observe_clock(index_.all().back().utc);
-  }
-  external_->warm();
+  store_->warm();
 }
 
 std::vector<core::Diagnosis> Pipeline::diagnose_all(core::DiagnosisGraph graph,
                                                     unsigned threads) const {
   obs::ScopedSpan span("diagnose");
-  core::RcaEngine engine(std::move(graph), events(), mapper_);
+  core::RcaEngine engine(std::move(graph), *store_, mapper_);
   return engine.diagnose_all(threads);
 }
 

@@ -8,6 +8,7 @@
 // runs on top of one Pipeline instance.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -31,27 +32,22 @@ class Pipeline {
            collector::ExtractOptions options = {},
            std::vector<topology::RouterId> egress_observers = {});
 
-  /// External-store mode: events come from `events` (e.g. a
-  /// storage::PersistentEventStore opened from disk) instead of being
-  /// re-extracted from the raw stream. The raw stream is still replayed to
-  /// rebuild the routing view the LocationMapper joins against — that is
-  /// collector state, not event state — but the extraction stage (the
-  /// expensive part of ingest) is skipped entirely. Diagnosis over the
-  /// external view is byte-identical to a fresh-extraction run over the
-  /// same corpus.
+  /// Store mode: diagnosis reads `events` (e.g. a
+  /// storage::PersistentEventStore opened from disk) instead of re-extracting
+  /// them. The raw stream is still normalized and replayed to rebuild the
+  /// routing view the LocationMapper joins against — that is collector
+  /// state, not event state — but extraction (the expensive part of ingest)
+  /// is skipped. Diagnosis over a store persisted from the same corpus is
+  /// byte-identical to the extracting constructor's.
   Pipeline(const topology::Network& net, const telemetry::RecordStream& raw,
            std::shared_ptr<const core::EventStoreView> events);
 
   const topology::Network& network() const noexcept { return net_; }
   const collector::RecordIndex& index() const noexcept { return index_; }
   const collector::RebuiltRouting& routing() const noexcept { return routing_; }
-  core::EventStore& store() noexcept { return store_; }
-  const core::EventStore& store() const noexcept { return store_; }
-  /// The event view diagnosis runs against: the external store when one
-  /// was supplied, the pipeline's own in-memory store otherwise.
-  const core::EventStoreView& events() const noexcept {
-    return external_ ? *external_ : store_;
-  }
+  /// The event store diagnosis runs against: the one extraction built, or
+  /// the one handed to the store-mode constructor.
+  const core::EventStoreView& store() const noexcept { return *store_; }
   const core::LocationMapper& mapper() const noexcept { return mapper_; }
 
   /// Per-source ingest health, accumulated while the archive was replayed
@@ -72,13 +68,23 @@ class Pipeline {
                                             unsigned threads = 0) const;
 
  private:
+  /// Builds or opens the event store once normalize and routing replay
+  /// have run.
+  using StoreSource =
+      std::function<std::shared_ptr<const core::EventStoreView>(
+          const Pipeline&)>;
+
+  /// The path both public constructors share: normalize -> routing replay
+  /// -> `source` -> feed-health clock -> warm.
+  Pipeline(const topology::Network& net, const telemetry::RecordStream& raw,
+           const StoreSource& source);
+
   const topology::Network& net_;
   obs::FeedHealthMonitor feed_health_;  // must precede index_ (normalizer
                                         // reports into it during ingest)
   collector::RecordIndex index_;
   collector::RebuiltRouting routing_;
-  core::EventStore store_;
-  std::shared_ptr<const core::EventStoreView> external_;  // may be null
+  std::shared_ptr<const core::EventStoreView> store_;
   core::LocationMapper mapper_;
 };
 

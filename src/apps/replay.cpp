@@ -14,7 +14,6 @@
 #include "apps/pipeline.h"
 #include "apps/scoring.h"
 #include "obs/export.h"
-#include "obs/sampling.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -75,7 +74,16 @@ ReplayReport FeedReplayer::replay(
   }
   std::sort(schedule.begin(), schedule.end(), item_before);
 
-  obs::RegistrySampler sampler;
+  // Gauges are instantaneous (a drained stream reads zero), so the report
+  // keeps each gauge's peak over the ticks.
+  obs::MetricsRegistry* registry = obs::registry_ptr();
+  auto sample_gauges = [&] {
+    if (!registry) return;
+    for (const auto& [name, value] : registry->snapshot().gauges) {
+      auto [it, inserted] = report.gauge_peaks.emplace(name, value);
+      if (!inserted && value > it->second) it->second = value;
+    }
+  };
   core::DiagnosisGraph stream_graph = graph;
   StreamingRca stream(net_, std::move(stream_graph), options_.stream);
 
@@ -93,7 +101,7 @@ ReplayReport FeedReplayer::replay(
     for (core::Diagnosis& d : stream.advance(now_tick)) {
       record_detection(d, now_tick);
     }
-    sampler.sample();
+    sample_gauges();
     ++report.ticks;
   };
 
@@ -124,7 +132,7 @@ ReplayReport FeedReplayer::replay(
   // record's arrival.
   const TimeSec feed_end = schedule.empty() ? 0 : schedule.back().arrival;
   for (core::Diagnosis& d : stream.drain()) record_detection(d, feed_end);
-  sampler.sample();
+  sample_gauges();
   report.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - wall0)
                             .count();
@@ -162,7 +170,6 @@ ReplayReport FeedReplayer::replay(
     report.sources.push_back(
         SourceReplayStats{s.source, s.records, s.rejected, s.late_drops});
   }
-  report.gauge_peaks = sampler.gauge_peaks();
 
   // ---- Ground-truth conservation: coverage + batch verdict diff ----------
   if (truth != nullptr) {

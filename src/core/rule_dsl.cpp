@@ -13,7 +13,8 @@ namespace {
 /// A line-oriented tokenizer that strips comments and blank lines.
 class Lines {
  public:
-  explicit Lines(std::string_view text) : lines_(util::split(text, '\n')) {}
+  Lines(std::string_view text, std::string_view source)
+      : lines_(util::split(text, '\n')), source_(source) {}
 
   /// Next non-empty, comment-stripped line; empty optional at end.
   bool next(std::string& out) {
@@ -31,15 +32,27 @@ class Lines {
   }
 
   std::size_t line_number() const noexcept { return pos_; }
+  std::string_view source() const noexcept { return source_; }
 
  private:
   std::vector<std::string> lines_;
+  std::string_view source_;
   std::size_t pos_ = 0;
 };
 
 [[noreturn]] void fail(const Lines& lines, const std::string& message) {
-  throw ParseError("rule DSL (line " + std::to_string(lines.line_number()) +
-                   "): " + message);
+  throw ParseError(std::string(lines.source()) + " (line " +
+                   std::to_string(lines.line_number()) + "): " + message);
+}
+
+/// `text` read wholly as a number, or a ParseError naming the line.
+template <typename T>
+T number(const Lines& lines, const std::string& text, const char* what) {
+  try {
+    return util::to_number<T>(text, what);
+  } catch (const ParseError& e) {
+    fail(lines, e.what());
+  }
 }
 
 /// Extracts the quoted string from a 'desc "..."' line.
@@ -57,8 +70,8 @@ TemporalSide parse_side(const Lines& lines,
   if (tok.size() != 4) fail(lines, "expected '<kw> <option> <X> <Y>'");
   TemporalSide side;
   side.option = parse_expand_option(tok[1]);
-  side.left = std::stoll(tok[2]);
-  side.right = std::stoll(tok[3]);
+  side.left = number<util::TimeSec>(lines, tok[2], "margin");
+  side.right = number<util::TimeSec>(lines, tok[3], "margin");
   return side;
 }
 
@@ -102,7 +115,7 @@ void parse_rule_block(Lines& lines, const std::string& symptom,
     }
     auto tok = util::split_ws(line);
     if (tok[0] == "priority" && tok.size() == 2) {
-      rule.priority = std::stoi(tok[1]);
+      rule.priority = number<int>(lines, tok[1], "priority");
     } else if (tok[0] == "symptom") {
       rule.temporal.symptom = parse_side(lines, tok);
     } else if (tok[0] == "diagnostic") {
@@ -134,8 +147,9 @@ void parse_graph_block(Lines& lines, DiagnosisGraph& graph) {
 
 }  // namespace
 
-void load_dsl(std::string_view text, DiagnosisGraph& graph) {
-  Lines lines(text);
+void load_dsl(std::string_view text, DiagnosisGraph& graph,
+              std::string_view source) {
+  Lines lines(text, source);
   std::string line;
   while (lines.next(line)) {
     auto tok = util::split_ws(line);

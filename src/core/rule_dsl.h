@@ -38,9 +38,12 @@
 namespace grca::core {
 
 /// Parses `text` and merges its definitions into `graph`. Throws
-/// grca::ParseError on syntax errors and grca::ConfigError on semantic ones
-/// (e.g. a rule whose events are not defined).
-void load_dsl(std::string_view text, DiagnosisGraph& graph);
+/// grca::ParseError on syntax errors, including a number that does not
+/// parse in full, as "<source> (line N): ..." with N 1-based; and
+/// grca::ConfigError on semantic ones (e.g. a rule whose events are not
+/// defined). `source` names the text in errors (a file path, say).
+void load_dsl(std::string_view text, DiagnosisGraph& graph,
+              std::string_view source = "rule DSL");
 
 /// Serializes a graph back to DSL text (stable round trip modulo comments).
 std::string render_dsl(const DiagnosisGraph& graph);

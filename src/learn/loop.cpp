@@ -87,7 +87,7 @@ LearnResult run_learn_loop(
     MineOptions mine_options = options.mine;
     mine_options.seed = options.mine.seed + iter;  // fresh null per round
     MineOutcome mined =
-        mine_residue(diagnoses, pipeline.events(), graph, mine_options);
+        mine_residue(diagnoses, pipeline.store(), graph, mine_options);
     ir.mined = mined.candidates.size();
 
     for (const MinedCandidate& cand : mined.candidates) {
@@ -103,7 +103,7 @@ LearnResult run_learn_loop(
       cr.mined_p = cand.result.p_value;
       cr.holdout_f1_before = current_holdout;
       cr.holdout_f1_after = current_holdout;
-      auto proposed = propose_rule(pipeline.events(), pipeline.mapper(),
+      auto proposed = propose_rule(pipeline.store(), pipeline.mapper(),
                                    graph, cand, options.propose);
       if (!proposed) {
         cr.rule.symptom = graph.root();

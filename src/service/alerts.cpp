@@ -11,6 +11,25 @@
 
 namespace grca::service {
 
+namespace {
+
+ParseError rule_error(std::size_t line_no, const std::string& what) {
+  return ParseError("alert rules line " + std::to_string(line_no) + ": " +
+                    what);
+}
+
+/// `text` read wholly as a T, or a ParseError naming the line.
+template <typename T>
+T rule_number(std::size_t line_no, const std::string& text, const char* what) {
+  try {
+    return util::to_number<T>(text, what);
+  } catch (const ParseError& e) {
+    throw rule_error(line_no, e.what());
+  }
+}
+
+}  // namespace
+
 std::vector<AlertRule> default_alert_rules() {
   std::vector<AlertRule> rules;
   {
@@ -52,9 +71,8 @@ std::vector<AlertRule> parse_alert_rules(const std::string& text) {
     }
     if (line.empty()) continue;
     std::vector<std::string> tok = util::split_ws(line);
-    auto fail = [line_no](const std::string& what) -> ParseError {
-      return ParseError("alert rules line " + std::to_string(line_no) + ": " +
-                        what);
+    auto fail = [line_no](const std::string& what) {
+      return rule_error(line_no, what);
     };
     if (tok.size() < 4) {
       throw fail("expected NAME METRIC >|< THRESHOLD [backdate SEC] "
@@ -70,27 +88,17 @@ std::vector<AlertRule> parse_alert_rules(const std::string& text) {
     } else {
       throw fail("operator must be > or <, got '" + tok[2] + "'");
     }
-    try {
-      rule.threshold = std::stod(tok[3]);
-    } catch (const std::exception&) {
-      throw fail("threshold '" + tok[3] + "' is not a number");
-    }
+    rule.threshold = rule_number<double>(line_no, tok[3], "threshold");
     for (std::size_t i = 4; i + 1 < tok.size(); i += 2) {
-      try {
-        if (tok[i] == "backdate") {
-          rule.backdate = std::stoll(tok[i + 1]);
-        } else if (tok[i] == "hold") {
-          rule.hold = std::stoll(tok[i + 1]);
-        } else if (tok[i] == "event") {
-          rule.event = tok[i + 1];
-        } else {
-          throw fail("unknown option '" + tok[i] + "'");
-        }
-      } catch (const ParseError&) {
-        throw;
-      } catch (const std::exception&) {
-        throw fail("option " + tok[i] + ": '" + tok[i + 1] +
-                   "' is not a number");
+      if (tok[i] == "backdate") {
+        rule.backdate =
+            rule_number<util::TimeSec>(line_no, tok[i + 1], "backdate");
+      } else if (tok[i] == "hold") {
+        rule.hold = rule_number<util::TimeSec>(line_no, tok[i + 1], "hold");
+      } else if (tok[i] == "event") {
+        rule.event = tok[i + 1];
+      } else {
+        throw fail("unknown option '" + tok[i] + "'");
       }
     }
     if ((tok.size() - 4) % 2 != 0) {

@@ -39,11 +39,13 @@
 //       metrics registry instead of the breakdown: per-source feed
 //       counts/lag/gaps, per-stage latency histograms, engine counters.
 //
-//   grca calibrate --study bgp|cdn|pim --data DIR [--store DIR]
+//   grca calibrate --study bgp|cdn|pim|innet --data DIR [--store DIR]
 //                  --symptom EVENT --diagnostic EVENT --join LEVEL
-//       Learn temporal margins for a rule from the archived data (§VI).
-//       --store reads events from a persisted event log instead of
-//       re-extracting, matching `diagnose --store`.
+//       Learn temporal margins for a rule from the archived data (§VI),
+//       over the same pipeline `diagnose` builds for the study (the CDN
+//       study's BGP egress changes included). --store reads events from a
+//       persisted event log instead of re-extracting, matching `diagnose
+//       --store`.
 //
 //   grca learn (--study bgp|cdn|pim|innet --data DIR [--store DIR]
 //              | --topology FILE --scenario CLASS [--days N] [--symptoms N]
@@ -148,17 +150,15 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "apps/benchmark.h"
-#include "apps/bgp_flap_app.h"
-#include "apps/cdn_app.h"
-#include "apps/innet_app.h"
-#include "apps/pim_app.h"
 #include "apps/pipeline.h"
 #include "apps/replay.h"
 #include "apps/scoring.h"
+#include "apps/study.h"
 #include "core/calibration.h"
 #include "core/knowledge_library.h"
 #include "core/rule_dsl.h"
@@ -173,7 +173,6 @@
 #include "simulation/archive.h"
 #include "storage/event_log.h"
 #include "storage/persistent_store.h"
-#include "simulation/workloads.h"
 #include "topology/import.h"
 #include "topology/topo_gen.h"
 #include "util/strings.h"
@@ -200,7 +199,7 @@ namespace {
                 [--metrics-out FILE] [--store DIR] [--span-log FILE]
   grca metrics --study bgp|cdn|pim|innet --data DIR [--threads N]
                [--format prometheus|json] [--store DIR]
-  grca calibrate --study bgp|cdn|pim --data DIR [--store DIR]
+  grca calibrate --study bgp|cdn|pim|innet --data DIR [--store DIR]
                  --symptom EVENT --diagnostic EVENT --join LEVEL
   grca learn (--study bgp|cdn|pim|innet --data DIR [--store DIR]
              | --topology FILE --scenario CLASS [--days N] [--symptoms N]
@@ -270,41 +269,60 @@ struct Args {
     return it->second.back();
   }
   long get_long(const std::string& key, long fallback) const {
+    return number(key, fallback);
+  }
+  double get_double(const std::string& key, double fallback) const {
+    return number(key, fallback);
+  }
+
+ private:
+  /// The value of --key read wholly as a T; anything else is a usage error.
+  template <typename T>
+  T number(const std::string& key, T fallback) const {
     auto it = values.find(key);
     if (it == values.end()) return fallback;
     try {
-      return std::stol(it->second.back());
-    } catch (const std::exception&) {
-      throw ConfigError("--" + key + ": expected an integer, got '" +
-                        it->second.back() + "'");
+      return util::to_number<T>(it->second.back(), "--" + key + " value");
+    } catch (const ParseError& e) {
+      usage(e.what());
     }
   }
 };
 
-struct StudyHooks {
-  core::DiagnosisGraph (*graph)();
-  void (*browser)(core::ResultBrowser&);
-  std::string (*canonical)(const std::string&);
-};
+const apps::Study& study_arg(const Args& args,
+                             const std::string& fallback = "") {
+  try {
+    return apps::find_study(args.get("study", fallback));
+  } catch (const ConfigError& e) {
+    usage(e.what());
+  }
+}
 
-StudyHooks hooks_for(const std::string& study) {
-  if (study == "bgp") {
-    return {apps::bgp::build_graph, apps::bgp::configure_browser,
-            apps::bgp::canonical_cause};
+unsigned threads_arg(const Args& args) {
+  long threads = args.get_long("threads", 0);  // 0 = hardware concurrency
+  if (threads < 0) usage("--threads must be >= 0");
+  return static_cast<unsigned>(threads);
+}
+
+/// --rate N[x]|max: a positive speed-up factor, or 0 for "max" (as fast as
+/// possible).
+double rate_arg(const Args& args) {
+  std::string rate = args.get("rate", "max");
+  if (rate == "max") return 0.0;
+  if (!rate.empty() && rate.back() == 'x') rate.pop_back();
+  std::optional<double> factor = util::parse_number<double>(rate);
+  if (!factor || *factor <= 0) {
+    usage("--rate must be a positive factor or 'max'");
   }
-  if (study == "cdn") {
-    return {apps::cdn::build_graph, apps::cdn::configure_browser,
-            apps::cdn::canonical_cause};
+  return *factor;
+}
+
+void open_span_log(const Args& args) {
+  if (auto it = args.values.find("span-log"); it != args.values.end()) {
+    if (!obs::set_span_log(it->second.back())) {
+      usage("cannot write span log " + it->second.back());
+    }
   }
-  if (study == "pim") {
-    return {apps::pim::build_graph, apps::pim::configure_browser,
-            apps::pim::canonical_cause};
-  }
-  if (study == "innet") {
-    return {apps::innet::build_graph, apps::innet::configure_browser,
-            apps::innet::canonical_cause};
-  }
-  usage("unknown study '" + study + "'");
 }
 
 int cmd_dump_library() {
@@ -314,59 +332,22 @@ int cmd_dump_library() {
   return 0;
 }
 
-/// Per-study workload defaults (days, target symptom count), matching the
-/// scale of the paper's case studies.
-struct StudyDefaults {
+/// Synthetic workload scale: days of telemetry, ground-truth symptoms.
+struct Scale {
   int days;
   int symptoms;
 };
 
-StudyDefaults study_defaults(const std::string& study) {
-  if (study == "bgp") return {30, 2000};
-  if (study == "cdn") return {30, 1500};
-  if (study == "pim") return {14, 2000};
-  if (study == "innet") return {30, 600};
-  usage("unknown study '" + study + "'");
-}
-
-sim::StudyOutput run_workload(const std::string& study,
-                              const topology::Network& net, int days,
-                              int symptoms, std::uint64_t seed) {
-  if (study == "bgp") {
-    sim::BgpStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_bgp_study(net, p);
+/// The corpus a command runs on: --data DIR when given; otherwise a freshly
+/// generated ISP + study workload at `generate` (--days/--symptoms/--seed/
+/// --paper-scale override it). Without `generate`, --data is required.
+std::unique_ptr<sim::ReplayCorpus> load_corpus(const Args& args,
+                                               const apps::Study& study,
+                                               std::optional<Scale> generate) {
+  if (!generate || args.values.count("data")) {
+    return std::make_unique<sim::ReplayCorpus>(
+        sim::read_corpus(fs::path(args.get("data"))));
   }
-  if (study == "cdn") {
-    sim::CdnStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_cdn_study(net, p);
-  }
-  if (study == "pim") {
-    sim::PimStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_pim_study(net, p);
-  }
-  if (study == "innet") {
-    sim::InnetStudyParams p;
-    p.days = days;
-    p.target_symptoms = symptoms;
-    p.seed = seed;
-    return sim::run_innet_study(net, p);
-  }
-  usage("unknown study '" + study + "'");
-}
-
-/// Generates the synthetic ISP + study workload used by `simulate` and by
-/// `replay` when no --data corpus is given.
-sim::ReplayCorpus generate_corpus(const Args& args, const std::string& study,
-                                  StudyDefaults defaults) {
   topology::TopoParams tp;
   if (args.flags.count("paper-scale")) {
     tp = topology::paper_scale_params();
@@ -378,39 +359,62 @@ sim::ReplayCorpus generate_corpus(const Args& args, const std::string& study,
     tp.mvpn_sites_per_vpn = 10;
   }
   tp.seed = static_cast<std::uint64_t>(args.get_long("seed", 42));
+  int days = static_cast<int>(args.get_long("days", generate->days));
+  int symptoms =
+      static_cast<int>(args.get_long("symptoms", generate->symptoms));
   topology::Network net = topology::generate_isp(tp);
-  sim::StudyOutput result = run_workload(
-      study, net, static_cast<int>(args.get_long("days", defaults.days)),
-      static_cast<int>(args.get_long("symptoms", defaults.symptoms)),
-      tp.seed + 1);
-  return sim::ReplayCorpus{std::move(net), std::move(result.records),
-                           std::move(result.truth)};
+  sim::StudyOutput result = study.generate(net, days, symptoms, tp.seed + 1);
+  return std::make_unique<sim::ReplayCorpus>(sim::ReplayCorpus{
+      std::move(net), std::move(result.records), std::move(result.truth)});
 }
 
-/// Routers at which BGP egress changes are evaluated for a study (the CDN
-/// study watches its ingress routers; other studies need none).
-std::vector<topology::RouterId> observers_for(const std::string& study,
-                                              const topology::Network& net) {
-  if (study == "cdn" && !net.cdn_nodes().empty()) {
-    return net.cdn_nodes().front().ingress_routers;
+/// The pipeline over `corpus`: events from the persisted log at --store DIR
+/// when given, else extracted with the study's egress observers.
+std::unique_ptr<apps::Pipeline> open_pipeline(const Args& args,
+                                              const apps::Study& study,
+                                              const sim::ReplayCorpus& corpus) {
+  const topology::Network& net = corpus.network;
+  if (auto it = args.values.find("store"); it != args.values.end()) {
+    return std::make_unique<apps::Pipeline>(
+        net, corpus.records,
+        std::make_shared<storage::PersistentEventStore>(
+            storage::PersistentEventStore::open(fs::path(it->second.back()))));
   }
-  return {};
+  return std::make_unique<apps::Pipeline>(net, corpus.records,
+                                          collector::ExtractOptions{},
+                                          study.egress_observers(net));
+}
+
+/// The study's graph plus every --dsl file.
+core::DiagnosisGraph load_graph(const Args& args, const apps::Study& study) {
+  core::DiagnosisGraph graph = study.build_graph();
+  if (auto it = args.values.find("dsl"); it != args.values.end()) {
+    for (const std::string& file : it->second) {
+      std::ifstream in(file);
+      if (!in) usage("cannot open DSL file " + file);
+      std::stringstream ss;
+      ss << in.rdbuf();
+      core::load_dsl(ss.str(), graph, file);
+    }
+    graph.validate();
+  }
+  return graph;
 }
 
 int cmd_simulate(const Args& args) {
-  std::string study = args.get("study");
+  const apps::Study& study = study_arg(args);
   fs::path out(args.get("out"));
-  sim::ReplayCorpus corpus = generate_corpus(args, study, study_defaults(study));
-  sim::write_corpus(out, corpus.network, corpus.records, corpus.truth);
-  std::cout << "wrote " << corpus.network.routers().size() << " configs, "
-            << corpus.records.size() << " records, " << corpus.truth.size()
+  std::unique_ptr<sim::ReplayCorpus> corpus = load_corpus(
+      args, study, Scale{study.default_days, study.default_symptoms});
+  sim::write_corpus(out, corpus->network, corpus->records, corpus->truth);
+  std::cout << "wrote " << corpus->network.routers().size() << " configs, "
+            << corpus->records.size() << " records, " << corpus->truth.size()
             << " truth labels under " << out.string() << "\n";
   if (auto it = args.values.find("store-out"); it != args.values.end()) {
     fs::path store_dir(it->second.back());
-    apps::Pipeline pipeline(corpus.network, corpus.records,
-                            collector::ExtractOptions{},
-                            observers_for(study, corpus.network));
-    const core::EventStore& store = pipeline.store();
+    std::unique_ptr<apps::Pipeline> pipeline =
+        open_pipeline(args, study, *corpus);
+    const core::EventStore& store = pipeline->store();
     // Batch extraction is complete, so the watermark is one past the last
     // event start: everything on disk is final.
     util::TimeSec watermark = 0;
@@ -427,60 +431,26 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
-/// The shared front half of `diagnose` and `metrics`: corpus + pipeline
-/// from DIR, study graph (plus extra DSL files), full diagnose_all. The
-/// corpus is owned here because the pipeline keeps a reference to its
-/// network.
+/// `diagnose` and `metrics`: the study's corpus from --data, its pipeline,
+/// and a full diagnose_all over its graph. The corpus is owned here because
+/// the pipeline keeps a reference to its network.
 struct StudyRun {
+  const apps::Study* study = nullptr;
   std::unique_ptr<sim::ReplayCorpus> corpus;
   std::unique_ptr<apps::Pipeline> pipeline;
   std::vector<core::Diagnosis> diagnoses;
-  StudyHooks hooks{};
 };
 
 StudyRun run_study(const Args& args) {
+  open_span_log(args);
   StudyRun run;
-  std::string study = args.get("study");
-  fs::path data(args.get("data"));
-  run.hooks = hooks_for(study);
-
-  if (auto it = args.values.find("span-log"); it != args.values.end()) {
-    if (!obs::set_span_log(it->second.back())) {
-      usage("cannot write span log " + it->second.back());
-    }
-  }
-
-  run.corpus =
-      std::make_unique<sim::ReplayCorpus>(sim::read_corpus(data));
-  const topology::Network& net = run.corpus->network;
-  if (auto it = args.values.find("store"); it != args.values.end()) {
-    // Serve events from the persisted log instead of re-extracting; the
-    // pipeline still replays routing state.
-    auto pstore = std::make_shared<storage::PersistentEventStore>(
-        storage::PersistentEventStore::open(fs::path(it->second.back())));
-    run.pipeline = std::make_unique<apps::Pipeline>(net, run.corpus->records,
-                                                    std::move(pstore));
-  } else {
-    run.pipeline = std::make_unique<apps::Pipeline>(
-        net, run.corpus->records, collector::ExtractOptions{},
-        observers_for(study, net));
-  }
-
-  core::DiagnosisGraph graph = run.hooks.graph();
-  if (auto it = args.values.find("dsl"); it != args.values.end()) {
-    for (const std::string& file : it->second) {
-      std::ifstream in(file);
-      if (!in) usage("cannot open DSL file " + file);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      core::load_dsl(ss.str(), graph);
-    }
-    graph.validate();
-  }
-  long threads = args.get_long("threads", 0);  // 0 = hardware concurrency
-  if (threads < 0) usage("--threads must be >= 0");
-  run.diagnoses = run.pipeline->diagnose_all(std::move(graph),
-                                             static_cast<unsigned>(threads));
+  run.study = &study_arg(args);
+  // Graph and options first: a bad --dsl file fails before ingest.
+  core::DiagnosisGraph graph = load_graph(args, *run.study);
+  unsigned threads = threads_arg(args);
+  run.corpus = load_corpus(args, *run.study, std::nullopt);
+  run.pipeline = open_pipeline(args, *run.study, *run.corpus);
+  run.diagnoses = run.pipeline->diagnose_all(std::move(graph), threads);
   return run;
 }
 
@@ -499,7 +469,7 @@ int cmd_diagnose(const Args& args) {
   StudyRun run = run_study(args);
   apps::Pipeline& pipeline = *run.pipeline;
   core::ResultBrowser browser(std::move(run.diagnoses));
-  run.hooks.browser(browser);
+  run.study->configure_browser(browser);
   std::cout << browser.breakdown().render("root cause breakdown");
   std::cout << "\nmean diagnosis time: " << browser.mean_diagnosis_ms()
             << " ms/symptom over " << browser.diagnoses().size()
@@ -521,7 +491,7 @@ int cmd_diagnose(const Args& args) {
       std::cout << "\nno truth.tsv found; skipping scoring\n";
     } else {
       apps::Score score = apps::score_diagnoses(browser.diagnoses(), truth,
-                                                run.hooks.canonical);
+                                                run.study->canonical_cause);
       std::cout << "\naccuracy vs ground truth: " << 100.0 * score.accuracy()
                 << "% (" << score.correct << "/" << score.matched
                 << " matched diagnoses)\n";
@@ -560,22 +530,13 @@ int cmd_metrics(const Args& args) {
 }
 
 int cmd_calibrate(const Args& args) {
-  fs::path data(args.get("data"));
-  sim::ReplayCorpus corpus = sim::read_corpus(data);
-  std::unique_ptr<apps::Pipeline> pipeline;
-  if (auto it = args.values.find("store"); it != args.values.end()) {
-    // Calibrate against the persisted event log (the same view `diagnose
-    // --store` reads) instead of re-extracting from raw telemetry.
-    auto pstore = std::make_shared<storage::PersistentEventStore>(
-        storage::PersistentEventStore::open(fs::path(it->second.back())));
-    pipeline = std::make_unique<apps::Pipeline>(corpus.network, corpus.records,
-                                                std::move(pstore));
-  } else {
-    pipeline =
-        std::make_unique<apps::Pipeline>(corpus.network, corpus.records);
-  }
+  const apps::Study& study = study_arg(args);
+  std::unique_ptr<sim::ReplayCorpus> corpus =
+      load_corpus(args, study, std::nullopt);
+  std::unique_ptr<apps::Pipeline> pipeline =
+      open_pipeline(args, study, *corpus);
   auto result = core::calibrate_temporal(
-      pipeline->events(), pipeline->mapper(), args.get("symptom"),
+      pipeline->store(), pipeline->mapper(), args.get("symptom"),
       args.get("diagnostic"), core::parse_location_type(args.get("join")));
   if (!result) {
     std::cout << "not enough co-occurrences to calibrate\n";
@@ -596,31 +557,14 @@ int cmd_calibrate(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
-  std::string study = args.get("study", "bgp");
-  StudyHooks hooks = hooks_for(study);
-
+  const apps::Study& study = study_arg(args, "bgp");
   // Source data: a recorded corpus, or a freshly generated default scenario
   // (a two-week study at paper-like symptom density).
-  std::unique_ptr<sim::ReplayCorpus> corpus;
-  if (auto it = args.values.find("data"); it != args.values.end()) {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        sim::read_corpus(fs::path(it->second.back())));
-  } else {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        generate_corpus(args, study, StudyDefaults{14, 1000}));
-  }
+  std::unique_ptr<sim::ReplayCorpus> corpus =
+      load_corpus(args, study, Scale{14, 1000});
 
   apps::ReplayOptions opt;
-  std::string rate = args.get("rate", "max");
-  if (rate != "max") {
-    if (!rate.empty() && rate.back() == 'x') rate.pop_back();
-    try {
-      opt.rate = std::stod(rate);
-    } catch (const std::exception&) {
-      opt.rate = -1.0;
-    }
-    if (opt.rate <= 0) usage("--rate must be a positive factor or 'max'");
-  }
+  opt.rate = rate_arg(args);
   opt.tick = args.get_long("tick", 300);
   opt.source_lag = args.get_long("source-lag", 120);
   opt.record_jitter = args.get_long("jitter", 60);
@@ -632,11 +576,10 @@ int cmd_replay(const Args& args) {
   }
 
   apps::FeedReplayer replayer(corpus->network, opt);
-  core::DiagnosisGraph graph = hooks.graph();
   bool with_truth = !args.flags.count("no-truth");
-  apps::ReplayReport report =
-      replayer.replay(corpus->records, graph,
-                      with_truth ? &corpus->truth : nullptr, hooks.canonical);
+  apps::ReplayReport report = replayer.replay(
+      corpus->records, load_graph(args, study),
+      with_truth ? &corpus->truth : nullptr, study.canonical_cause);
 
   std::cout << apps::render_text(report);
   if (auto it = args.values.find("report-out"); it != args.values.end()) {
@@ -712,19 +655,12 @@ void wait_for_shutdown(service::ServicePlane& plane) {
 }
 
 int cmd_serve(const Args& args) {
-  std::string study = args.get("study");
-  StudyHooks hooks = hooks_for(study);
+  const apps::Study& study = study_arg(args);
   bool follow = args.flags.count("follow") > 0;
   bool once = args.flags.count("once") > 0;
 
-  std::unique_ptr<sim::ReplayCorpus> corpus;
-  if (auto it = args.values.find("data"); it != args.values.end()) {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        sim::read_corpus(fs::path(it->second.back())));
-  } else {
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        generate_corpus(args, study, StudyDefaults{14, 1000}));
-  }
+  std::unique_ptr<sim::ReplayCorpus> corpus =
+      load_corpus(args, study, Scale{14, 1000});
   if (corpus->records.empty()) usage("corpus has no records");
 
   service::ServicePlaneOptions popt;
@@ -735,7 +671,7 @@ int cmd_serve(const Args& args) {
   {
     // Same labels and row order as the study's offline report tables.
     core::ResultBrowser browser{std::vector<core::Diagnosis>{}};
-    hooks.browser(browser);
+    study.configure_browser(browser);
     plane.set_display(service::DisplayConfig::from_browser(browser));
   }
 
@@ -743,15 +679,10 @@ int cmd_serve(const Args& args) {
 
   if (!follow) {
     // Batch mode: run the study once, publish the finished result, serve.
-    core::DiagnosisGraph graph = hooks.graph();
-    apps::Pipeline pipeline(corpus->network, corpus->records,
-                            collector::ExtractOptions{},
-                            observers_for(study, corpus->network));
-    long threads = args.get_long("threads", 0);
-    if (threads < 0) usage("--threads must be >= 0");
+    std::unique_ptr<apps::Pipeline> pipeline =
+        open_pipeline(args, study, *corpus);
     std::vector<core::Diagnosis> diagnoses =
-        pipeline.diagnose_all(std::move(graph),
-                              static_cast<unsigned>(threads));
+        pipeline->diagnose_all(load_graph(args, study), threads_arg(args));
     // The stream clock echoed by /api/health: end of the diagnosed data
     // (deterministic, so batch dumps are reproducible run to run).
     util::TimeSec now = 0;
@@ -759,11 +690,11 @@ int cmd_serve(const Args& args) {
       now = std::max(now, d.symptom.when.end);
     }
     plane.add_diagnoses(diagnoses);
-    plane.set_health(pipeline.feed_health().status());
+    plane.set_health(pipeline->feed_health().status());
     plane.set_alerts(load_alert_rules(args), {}, 0);
     plane.publish(now);
     std::cout << "published " << diagnoses.size() << " diagnoses (batch "
-              << study << " study)" << std::endl;
+              << study.name << " study)" << std::endl;
     if (auto it = args.values.find("api-dump"); it != args.values.end()) {
       api_dump(plane, fs::path(it->second.back()));
     }
@@ -776,7 +707,7 @@ int cmd_serve(const Args& args) {
   // Follow mode: stream the corpus through the real-time engine, publish a
   // fresh snapshot every tick, and let the alert engine inject missing-data
   // evidence into the live diagnosis.
-  core::DiagnosisGraph graph = hooks.graph();
+  core::DiagnosisGraph graph = load_graph(args, study);
   service::add_missing_data_support(graph);
   apps::StreamingOptions sopt;
   if (auto it = args.values.find("persist"); it != args.values.end()) {
@@ -792,16 +723,7 @@ int cmd_serve(const Args& args) {
   }
   service::AlertEngine alerts(load_alert_rules(args), std::move(scope));
 
-  double rate = 0.0;  // <= 0: as fast as possible
-  if (std::string r = args.get("rate", "max"); r != "max") {
-    if (!r.empty() && r.back() == 'x') r.pop_back();
-    try {
-      rate = std::stod(r);
-    } catch (const std::exception&) {
-      rate = -1.0;
-    }
-    if (rate <= 0) usage("--rate must be a positive factor or 'max'");
-  }
+  double rate = rate_arg(args);  // 0: as fast as possible
   util::TimeSec tick = args.get_long("tick", 300);
   if (tick <= 0) usage("--tick must be positive");
   long idle_ticks = args.get_long("idle-ticks", 0);
@@ -1040,6 +962,24 @@ int cmd_spans(const Args& args) {
   return 0;
 }
 
+/// The cell corpus scale `benchmark` and `learn --topology` share.
+apps::BenchmarkOptions cell_options(const Args& args) {
+  apps::BenchmarkOptions options;
+  options.days = static_cast<int>(args.get_long("days", 3));
+  options.target_symptoms = static_cast<int>(args.get_long("symptoms", 120));
+  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 29));
+  options.noise = args.get_double("noise", 1.0);
+  return options;
+}
+
+/// How an imported REPETITA topology is populated with PERs and customers.
+topology::ImportOptions import_options(const Args& args) {
+  topology::ImportOptions options;
+  options.pers_per_pop = static_cast<int>(args.get_long("pers", 2));
+  options.customers_per_per = static_cast<int>(args.get_long("customers", 4));
+  return options;
+}
+
 int cmd_benchmark(const Args& args) {
   // Topology set: explicit --topology files, else every *.graph under the
   // topology directory in name order (stable matrix row order).
@@ -1059,19 +999,8 @@ int cmd_benchmark(const Args& args) {
   }
   if (files.empty()) usage("no topology files to benchmark");
 
-  apps::BenchmarkOptions options;
-  options.days = static_cast<int>(args.get_long("days", 3));
-  options.target_symptoms = static_cast<int>(args.get_long("symptoms", 120));
-  options.seed = static_cast<std::uint64_t>(args.get_long("seed", 29));
-  long threads = args.get_long("threads", 0);
-  if (threads < 0) usage("--threads must be >= 0");
-  options.threads = static_cast<unsigned>(threads);
-  try {
-    options.noise = std::stod(args.get("noise", "1.0"));
-  } catch (const std::exception&) {
-    usage("--noise: expected a number, got '" + args.get("noise", "1.0") +
-          "'");
-  }
+  apps::BenchmarkOptions options = cell_options(args);
+  options.threads = threads_arg(args);
   options.timing = !args.flags.count("deterministic");
   if (auto it = args.values.find("scenarios"); it != args.values.end()) {
     for (std::string_view part : util::split(it->second.back(), ',')) {
@@ -1080,17 +1009,13 @@ int cmd_benchmark(const Args& args) {
     }
   }
 
-  topology::ImportOptions import_options;
-  import_options.pers_per_pop = static_cast<int>(args.get_long("pers", 2));
-  import_options.customers_per_per =
-      static_cast<int>(args.get_long("customers", 4));
-
   std::deque<topology::Network> networks;  // stable addresses
   std::vector<apps::BenchmarkTopology> topologies;
   for (const fs::path& file : files) {
     topology::ImportStats stats;
     networks.push_back(
-        topology::import_repetita_file(file.string(), import_options, &stats));
+        topology::import_repetita_file(file.string(), import_options(args),
+                                       &stats));
     topologies.push_back({file.stem().string(), &networks.back()});
     std::cout << "imported " << file.stem().string() << ": "
               << stats.graph_nodes << " nodes, " << stats.graph_edges
@@ -1103,19 +1028,12 @@ int cmd_benchmark(const Args& args) {
             << apps::render_scorecard_table(result).render(
                    "G-RCA benchmark scorecard");
 
-  std::size_t truth = 0, diagnosed = 0, correct = 0;
-  for (const apps::BenchmarkCell& c : result.cells) {
-    truth += c.truth_total;
-    diagnosed += c.diagnosed;
-    correct += c.correct;
-  }
-  double p = diagnosed ? static_cast<double>(correct) / diagnosed : 0.0;
-  double r = truth ? static_cast<double>(correct) / truth : 0.0;
-  double f1 = p + r > 0.0 ? 2.0 * p * r / (p + r) : 0.0;
-  std::cout << "\noverall: precision " << util::format_double(p, 4)
-            << ", recall " << util::format_double(r, 4) << ", f1 "
-            << util::format_double(f1, 4) << " over " << result.cells.size()
-            << " cell(s)\n";
+  const apps::MicroAverage all = apps::overall(result);
+  std::cout << "\noverall: precision "
+            << util::format_double(all.precision(), 4) << ", recall "
+            << util::format_double(all.recall(), 4) << ", f1 "
+            << util::format_double(all.f1(), 4) << " over "
+            << result.cells.size() << " cell(s)\n";
 
   if (auto it = args.values.find("out"); it != args.values.end()) {
     std::ofstream out(it->second.back());
@@ -1133,11 +1051,7 @@ int cmd_benchmark(const Args& args) {
 }
 
 int cmd_learn(const Args& args) {
-  if (auto it = args.values.find("span-log"); it != args.values.end()) {
-    if (!obs::set_span_log(it->second.back())) {
-      usage("cannot write span log " + it->second.back());
-    }
-  }
+  open_span_log(args);
 
   learn::LearnDriverOptions options;
   options.deterministic = args.flags.count("deterministic") > 0;
@@ -1147,16 +1061,9 @@ int cmd_learn(const Args& args) {
   long budget = args.get_long("budget", 24);
   if (budget < 1) usage("--budget must be >= 1");
   options.loop.candidate_budget = static_cast<std::size_t>(budget);
-  long threads = args.get_long("threads", 0);
-  if (threads < 0) usage("--threads must be >= 0");
-  options.loop.threads = static_cast<unsigned>(threads);
-  try {
-    options.loop.mine.nice.min_score =
-        std::stod(args.get("min-score", "0.15"));
-    options.loop.mine.nice.alpha = std::stod(args.get("alpha", "0.01"));
-  } catch (const std::exception&) {
-    usage("--min-score/--alpha: expected a number");
-  }
+  options.loop.threads = threads_arg(args);
+  options.loop.mine.nice.min_score = args.get_double("min-score", 0.15);
+  options.loop.mine.nice.alpha = args.get_double("alpha", 0.01);
   long permutations = args.get_long("permutations", 200);
   if (permutations < 1) usage("--permutations must be >= 1");
   options.loop.mine.nice.permutations =
@@ -1176,80 +1083,41 @@ int cmd_learn(const Args& args) {
 
   // Input: a recorded corpus (--study/--data) or a regenerated benchmark
   // cell (--topology/--scenario) with benchmark-identical cell seeding.
+  const apps::Study* study = nullptr;
   std::unique_ptr<sim::ReplayCorpus> corpus;
-  StudyHooks hooks{};
-  std::string app;
   if (auto it = args.values.find("topology"); it != args.values.end()) {
     fs::path file(it->second.back());
+    std::string topology = file.stem().string();
     sim::ScenarioClass cls = sim::parse_scenario_class(args.get("scenario"));
-    app = sim::scenario_app(cls);
-    hooks = hooks_for(app);
-    topology::ImportOptions import_options;
-    import_options.pers_per_pop = static_cast<int>(args.get_long("pers", 2));
-    import_options.customers_per_per =
-        static_cast<int>(args.get_long("customers", 4));
+    study = &apps::find_study(sim::scenario_app(cls));
     topology::ImportStats stats;
-    topology::Network net =
-        topology::import_repetita_file(file.string(), import_options, &stats);
-    std::cout << "imported " << file.stem().string() << ": "
-              << stats.graph_nodes << " nodes, " << stats.graph_edges
-              << " edges -> " << stats.backbone_links << " backbone links\n";
-    sim::ScenarioParams params;
-    params.days = static_cast<int>(args.get_long("days", 3));
-    params.target_symptoms = static_cast<int>(args.get_long("symptoms", 120));
-    try {
-      params.noise = std::stod(args.get("noise", "1.0"));
-    } catch (const std::exception&) {
-      usage("--noise: expected a number, got '" + args.get("noise", "1.0") +
-            "'");
-    }
-    params.seed = apps::cell_seed(
-        static_cast<std::uint64_t>(args.get_long("seed", 29)),
-        file.stem().string(), sim::to_string(cls));
-    sim::StudyOutput study = sim::run_scenario(cls, net, params);
-    options.label = file.stem().string() + "." + sim::to_string(cls);
-    options.seed = params.seed;
+    topology::Network net = topology::import_repetita_file(
+        file.string(), import_options(args), &stats);
+    std::cout << "imported " << topology << ": " << stats.graph_nodes
+              << " nodes, " << stats.graph_edges << " edges -> "
+              << stats.backbone_links << " backbone links\n";
+    apps::BenchmarkOptions cell = cell_options(args);
+    sim::StudyOutput output = apps::cell_corpus(net, topology, cls, cell);
+    options.label = topology + "." + sim::to_string(cls);
+    options.seed = apps::cell_seed(cell.seed, topology, sim::to_string(cls));
     corpus = std::make_unique<sim::ReplayCorpus>(sim::ReplayCorpus{
-        std::move(net), std::move(study.records), std::move(study.truth)});
+        std::move(net), std::move(output.records), std::move(output.truth)});
   } else {
-    app = args.get("study");
-    hooks = hooks_for(app);
-    corpus = std::make_unique<sim::ReplayCorpus>(
-        sim::read_corpus(fs::path(args.get("data"))));
-    options.label = "study:" + app;
+    study = &study_arg(args);
+    corpus = load_corpus(args, *study, std::nullopt);
+    options.label = "study:" + std::string(study->name);
     options.seed = static_cast<std::uint64_t>(args.get_long("seed", 0));
   }
   if (corpus->truth.empty()) {
     usage("learning needs ground-truth labels; the corpus has none");
   }
-
-  std::unique_ptr<apps::Pipeline> pipeline;
-  if (auto it = args.values.find("store"); it != args.values.end()) {
-    auto pstore = std::make_shared<storage::PersistentEventStore>(
-        storage::PersistentEventStore::open(fs::path(it->second.back())));
-    pipeline = std::make_unique<apps::Pipeline>(
-        corpus->network, corpus->records, std::move(pstore));
-  } else {
-    pipeline = std::make_unique<apps::Pipeline>(
-        corpus->network, corpus->records, collector::ExtractOptions{},
-        observers_for(app, corpus->network));
-  }
-
-  core::DiagnosisGraph graph = hooks.graph();
-  if (auto it = args.values.find("dsl"); it != args.values.end()) {
-    for (const std::string& file : it->second) {
-      std::ifstream in(file);
-      if (!in) usage("cannot open DSL file " + file);
-      std::stringstream ss;
-      ss << in.rdbuf();
-      core::load_dsl(ss.str(), graph);
-    }
-    graph.validate();
-  }
+  std::unique_ptr<apps::Pipeline> pipeline =
+      open_pipeline(args, *study, *corpus);
 
   learn::LearnDriver driver(options);
-  learn::LearnRun run = driver.run(*pipeline, std::move(graph), corpus->truth,
-                                   hooks.canonical);
+  learn::LearnRun run =
+      driver.run(*pipeline, load_graph(args, *study), corpus->truth,
+                 study->canonical_cause);
   std::cout << learn::render_learn_text(run);
 
   if (auto it = args.values.find("out"); it != args.values.end()) {

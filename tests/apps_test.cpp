@@ -10,8 +10,11 @@
 #include "apps/cdn_app.h"
 #include "apps/pim_app.h"
 #include "apps/scoring.h"
+#include "apps/study.h"
 #include "core/knowledge_library.h"
 #include "core/result_browser.h"
+#include "simulation/fault_scenarios.h"
+#include "topology/topo_gen.h"
 #include "util/strings.h"
 
 namespace grca {
@@ -28,6 +31,33 @@ TEST(AppConfigs, AllGraphsValidate) {
   EXPECT_NO_THROW(apps::bgp::build_graph());
   EXPECT_NO_THROW(apps::cdn::build_graph());
   EXPECT_NO_THROW(apps::pim::build_graph());
+}
+
+TEST(StudyTable, FindsEveryStudyAndScenarioApp) {
+  for (std::string_view name : {"bgp", "cdn", "pim", "innet"}) {
+    const apps::Study& study = apps::find_study(name);
+    EXPECT_EQ(study.name, name);
+    EXPECT_NO_THROW(study.build_graph().validate());
+  }
+  for (sim::ScenarioClass c : sim::all_scenario_classes()) {
+    EXPECT_NO_THROW(apps::find_study(sim::scenario_app(c)))
+        << sim::to_string(c);
+  }
+  EXPECT_THROW(apps::find_study("bogus"), ConfigError);
+}
+
+TEST(StudyTable, OnlyCdnObservesEgress) {
+  topology::TopoParams tp;
+  tp.pops = 3;
+  tp.pers_per_pop = 2;
+  topology::Network net = topology::generate_isp(tp);
+  ASSERT_FALSE(net.cdn_nodes().empty());
+  EXPECT_EQ(apps::find_study("cdn").egress_observers(net),
+            net.cdn_nodes().front().ingress_routers);
+  EXPECT_FALSE(apps::find_study("cdn").egress_observers(net).empty());
+  for (std::string_view name : {"bgp", "pim", "innet"}) {
+    EXPECT_TRUE(apps::find_study(name).egress_observers(net).empty()) << name;
+  }
 }
 
 TEST(AppConfigs, RootsAndLocations) {

@@ -371,6 +371,23 @@ TEST(RuleDsl, RejectsSyntaxErrors) {
   EXPECT_THROW(load_dsl("rule a b {\n}", g), ParseError);
 }
 
+TEST(RuleDsl, MalformedNumbersNameSourceAndLine) {
+  auto error = [](std::string_view text) -> std::string {
+    DiagnosisGraph g;
+    try {
+      load_dsl(text, g, "bad.dsl");
+    } catch (const ParseError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error("rule a -> b {\n  priority x\n}"),
+            "bad.dsl (line 2): bad priority 'x'");
+  EXPECT_EQ(error("rule a -> b {\n priority 1\n"
+                  " symptom start-end 5x 10\n}"),
+            "bad.dsl (line 3): bad margin '5x'");
+}
+
 TEST(RuleDsl, RejectsRuleOnUndefinedEvents) {
   DiagnosisGraph g;
   EXPECT_THROW(load_dsl("rule a -> b {\n priority 1\n}", g), ConfigError);

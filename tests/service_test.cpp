@@ -147,6 +147,18 @@ TEST(AlertRules, ParsesRuleFileSyntax) {
   EXPECT_THROW(parse_alert_rules("a m > 1 backdate\n"), ParseError);
 }
 
+TEST(AlertRules, NumbersParseInFull) {
+  EXPECT_THROW(parse_alert_rules("a m > 5x\n"), ParseError);
+  EXPECT_THROW(parse_alert_rules("a m > 1 backdate 60s\n"), ParseError);
+  EXPECT_THROW(parse_alert_rules("a m > 1 hold 9z\n"), ParseError);
+  try {
+    parse_alert_rules("ok m > 1\na m > 5x\n");
+    ADD_FAILURE() << "5x parsed as a threshold";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "alert rules line 2: bad threshold '5x'");
+  }
+}
+
 // --- AlertEngine edge semantics -------------------------------------------
 
 AlertRule test_rule() {
