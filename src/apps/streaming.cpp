@@ -31,14 +31,13 @@ StreamingRca::StreamingRca(const topology::Network& net,
   // as fresh extractions, and before the engine exists so the store is
   // settled when diagnosis state initializes.
   if (!options_.persist_dir.empty()) {
-    storage::SealedLoad sealed =
-        storage::load_sealed_events(options_.persist_dir);
-    // The crash-torn WAL is discarded: everything past the last seal is
+    storage::SealedRead sealed = storage::read_sealed(
+        options_.persist_dir,
+        [this](core::EventInstance e) { store_.add(std::move(e)); });
+    // The writer drops the crash-torn WAL: everything past the last seal is
     // re-derived from the re-fed stream (extract_floor_ gates duplicates).
-    persist_ = std::make_unique<storage::EventLogWriter>(
-        options_.persist_dir, /*discard_wal=*/true);
+    persist_ = std::make_unique<storage::EventLogWriter>(options_.persist_dir);
     if (sealed.watermark) {
-      for (core::EventInstance& e : sealed.events) store_.add(std::move(e));
       store_.warm();
       extract_floor_ = *sealed.watermark;
       last_seal_cut_ = *sealed.watermark;

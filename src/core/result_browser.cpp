@@ -10,6 +10,30 @@
 
 namespace grca::core {
 
+std::vector<std::string> breakdown_order(
+    const std::map<std::string, std::size_t>& counts,
+    const std::vector<std::string>& display_order) {
+  std::vector<std::string> order;
+  for (const std::string& e : display_order) {
+    if (counts.count(e)) order.push_back(e);
+  }
+  std::vector<std::pair<std::string, std::size_t>> rest(counts.begin(),
+                                                        counts.end());
+  std::sort(rest.begin(), rest.end(), [](const auto& a, const auto& b) {
+    return a.second > b.second || (a.second == b.second && a.first < b.first);
+  });
+  for (const auto& [event, count] : rest) {
+    if (std::find(order.begin(), order.end(), event) == order.end()) {
+      order.push_back(event);
+    }
+  }
+  return order;
+}
+
+TrendCell trend_cell(util::TimeSec symptom_start, std::string cause) {
+  return {symptom_start / util::kDay * util::kDay, std::move(cause)};
+}
+
 void ResultBrowser::set_display_name(std::string event, std::string name) {
   display_names_[std::move(event)] = std::move(name);
 }
@@ -40,23 +64,8 @@ std::map<std::string, double> ResultBrowser::percentages() const {
 
 util::TextTable ResultBrowser::breakdown() const {
   auto by_cause = counts();
-  // Row order: explicit display order first, then descending count.
-  std::vector<std::string> order;
-  for (const std::string& e : display_order_) {
-    if (by_cause.count(e)) order.push_back(e);
-  }
-  std::vector<std::pair<std::string, std::size_t>> rest(by_cause.begin(),
-                                                        by_cause.end());
-  std::sort(rest.begin(), rest.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second || (a.second == b.second && a.first < b.first);
-  });
-  for (const auto& [event, count] : rest) {
-    if (std::find(order.begin(), order.end(), event) == order.end()) {
-      order.push_back(event);
-    }
-  }
   util::TextTable table({"Root Cause", "Count", "Percentage (%)"});
-  for (const std::string& event : order) {
+  for (const std::string& event : breakdown_order(by_cause, display_order_)) {
     std::size_t count = by_cause.at(event);
     table.add_row({label(event), std::to_string(count),
                    util::format_double(
@@ -68,11 +77,9 @@ util::TextTable ResultBrowser::breakdown() const {
 
 util::TextTable ResultBrowser::trend() const {
   util::TextTable table({"Day", "Root Cause", "Count"});
-  if (diagnoses_.empty()) return table;
-  std::map<std::pair<util::TimeSec, std::string>, std::size_t> cells;
+  std::map<TrendCell, std::size_t> cells;
   for (const Diagnosis& d : diagnoses_) {
-    util::TimeSec day = d.symptom.when.start / util::kDay * util::kDay;
-    ++cells[{day, d.primary()}];
+    ++cells[trend_cell(d.symptom.when.start, d.primary())];
   }
   for (const auto& [key, count] : cells) {
     table.add_row({util::format_utc(key.first).substr(0, 10), label(key.second),

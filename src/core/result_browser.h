@@ -18,6 +18,19 @@
 
 namespace grca::core {
 
+/// Breakdown row order, shared by every breakdown renderer (the text table
+/// and the service plane's JSON): causes listed in `display_order` that
+/// have a count come first, in that order; then the rest by descending
+/// count, ties by name.
+std::vector<std::string> breakdown_order(
+    const std::map<std::string, std::size_t>& counts,
+    const std::vector<std::string>& display_order);
+
+/// A trending cell: the UTC day a symptom starts in (that day's first
+/// second) and its primary cause. Cells order by day, then cause name.
+using TrendCell = std::pair<util::TimeSec, std::string>;
+TrendCell trend_cell(util::TimeSec symptom_start, std::string cause);
+
 class ResultBrowser {
  public:
   explicit ResultBrowser(std::vector<Diagnosis> diagnoses)

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "obs/export.h"
-#include "util/error.h"
 #include "util/strings.h"
 
 namespace grca::service {
@@ -18,33 +17,6 @@ using obs::json_escape;
 
 std::string quoted(const std::string& text) {
   return "\"" + json_escape(text) + "\"";
-}
-
-/// Count per primary cause in breakdown row order: explicit display order
-/// first, then descending count with name tie-break — exactly
-/// ResultBrowser::breakdown's ordering, so live and offline tables agree.
-std::vector<std::pair<std::string, std::size_t>> ordered_counts(
-    const std::vector<const ApiItem*>& items, const DisplayConfig& display) {
-  std::map<std::string, std::size_t> by_cause;
-  for (const ApiItem* item : items) ++by_cause[item->primary];
-  std::vector<std::string> order;
-  for (const std::string& e : display.order) {
-    if (by_cause.count(e)) order.push_back(e);
-  }
-  std::vector<std::pair<std::string, std::size_t>> rest(by_cause.begin(),
-                                                        by_cause.end());
-  std::sort(rest.begin(), rest.end(), [](const auto& a, const auto& b) {
-    return a.second > b.second || (a.second == b.second && a.first < b.first);
-  });
-  for (const auto& [event, count] : rest) {
-    if (std::find(order.begin(), order.end(), event) == order.end()) {
-      order.push_back(event);
-    }
-  }
-  std::vector<std::pair<std::string, std::size_t>> out;
-  out.reserve(order.size());
-  for (const std::string& event : order) out.push_back({event, by_cause.at(event)});
-  return out;
 }
 
 void render_instances(std::ostringstream& out,
@@ -119,12 +91,8 @@ QueryFilter QueryFilter::parse(
   auto bound = [&query](const char* key) -> std::optional<util::TimeSec> {
     auto it = query.find(key);
     if (it == query.end() || it->second.empty()) return std::nullopt;
-    try {
-      return std::stoll(it->second);
-    } catch (const std::exception&) {
-      throw ParseError(std::string(key) + ": expected a UTC-seconds integer, got '" +
-                       it->second + "'");
-    }
+    return util::to_number<util::TimeSec>(it->second,
+                                          std::string(key) + " bound");
   };
   filter.from = bound("from");
   filter.to = bound("to");
@@ -139,10 +107,14 @@ std::string render_breakdown(const std::vector<ApiItem>& items,
                              const QueryFilter& filter,
                              const DisplayConfig& display) {
   std::vector<const ApiItem*> selected = filter.apply(items);
+  std::map<std::string, std::size_t> by_cause;
+  for (const ApiItem* item : selected) ++by_cause[item->primary];
   std::ostringstream out;
   out << "{\n  \"total\": " << selected.size() << ",\n  \"rows\": [";
   bool first = true;
-  for (const auto& [cause, count] : ordered_counts(selected, display)) {
+  for (const std::string& cause :
+       core::breakdown_order(by_cause, display.order)) {
+    std::size_t count = by_cause.at(cause);
     out << (first ? "" : ",") << "\n    {\"cause\": " << quoted(cause)
         << ", \"label\": " << quoted(display.label(cause))
         << ", \"count\": " << count << ", \"percent\": "
@@ -161,10 +133,9 @@ std::string render_trending(const std::vector<ApiItem>& items,
                             const QueryFilter& filter,
                             const DisplayConfig& display) {
   std::vector<const ApiItem*> selected = filter.apply(items);
-  std::map<std::pair<util::TimeSec, std::string>, std::size_t> cells;
+  std::map<core::TrendCell, std::size_t> cells;
   for (const ApiItem* item : selected) {
-    util::TimeSec day = item->when.start / util::kDay * util::kDay;
-    ++cells[{day, item->primary}];
+    ++cells[core::trend_cell(item->when.start, item->primary)];
   }
   std::ostringstream out;
   out << "{\n  \"total\": " << selected.size() << ",\n  \"cells\": [";

@@ -89,20 +89,20 @@ struct QueryFilter {
   /// Selects the matching subset (pointers into `items`).
   std::vector<const ApiItem*> apply(const std::vector<ApiItem>& items) const;
 
-  /// Parses the query-parameter map. Throws ParseError on a malformed
-  /// numeric bound (the server answers 400).
+  /// Parses the query-parameter map. A bound must be wholly an integer
+  /// ("5x" is refused, not read as 5): anything else throws ParseError
+  /// naming the parameter (the server answers 400).
   static QueryFilter parse(const std::map<std::string, std::string>& query);
 };
 
-/// GET /api/breakdown — count and percentage per root cause, rows ordered
-/// like ResultBrowser::breakdown (display order first, then by descending
-/// count, ties by name).
+/// GET /api/breakdown — count and percentage per root cause, rows in
+/// core::breakdown_order, as ResultBrowser::breakdown prints them.
 std::string render_breakdown(const std::vector<ApiItem>& items,
                              const QueryFilter& filter,
                              const DisplayConfig& display);
 
-/// GET /api/trending — daily counts per root cause, cells ordered by
-/// (day, cause).
+/// GET /api/trending — daily counts per root cause (core::trend_cell, as
+/// ResultBrowser::trend buckets them), cells ordered by (day, cause).
 std::string render_trending(const std::vector<ApiItem>& items,
                             const QueryFilter& filter,
                             const DisplayConfig& display);

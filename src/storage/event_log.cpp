@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "obs/span.h"
 #include "storage/codec.h"
@@ -42,6 +41,12 @@ std::optional<std::uint64_t> parse_seq(const fs::path& path) {
     return std::nullopt;
   }
   return std::stoull(digits);
+}
+
+/// The sequence number after the newest of `segments` (list_segments
+/// order), or 1 for an empty log.
+std::uint64_t next_sequence(const std::vector<fs::path>& segments) {
+  return segments.empty() ? 1 : *parse_seq(segments.back()) + 1;
 }
 
 /// Writes `bytes` as `path` via a temp file + rename, so readers never see
@@ -104,58 +109,93 @@ std::vector<fs::path> list_segments(const fs::path& dir) {
   return out;
 }
 
-EventLogWriter::EventLogWriter(const fs::path& dir, bool discard_wal)
-    : dir_(dir) {
+SealedRead read_sealed(const fs::path& dir,
+                       const std::function<void(core::EventInstance)>& sink) {
+  SealedRead read;
+  read.files = list_segments(dir);
+  for (const fs::path& path : read.files) {
+    SegmentReader seg = SegmentReader::open(path);
+    if (!seg.sealed()) {
+      throw StorageError("storage: segment " + path.string() +
+                         " is not sealed");
+    }
+    seg.for_each_event(sink);
+    read.bytes += seg.size();
+    util::TimeSec watermark = seg.v2_footer().watermark;
+    if (!read.watermark || watermark > *read.watermark) {
+      read.watermark = watermark;
+    }
+  }
+  return read;
+}
+
+WalRead read_wal(const fs::path& path) {
+  WalRead wal;
+  if (!fs::exists(path)) return wal;
+  wal.size = fs::file_size(path);
+  wal.torn_bytes = wal.size;
+  if (wal.size < kSegmentHeaderBytes) {
+    wal.header = WalRead::Header::kTorn;
+    return wal;
+  }
+  SegmentReader seg;
+  try {
+    seg = SegmentReader::open(path);
+  } catch (const StorageError& e) {
+    wal.header = WalRead::Header::kDamaged;
+    wal.damage = e.what();
+    return wal;
+  }
+  if (seg.sealed()) {
+    wal.header = WalRead::Header::kDamaged;
+    wal.damage = "storage: " + path.string() +
+                 " is a sealed segment, not a live WAL";
+    return wal;
+  }
+  wal.header = WalRead::Header::kValid;
+  wal.seq = seg.seq();
+  // Frames in order from the header end. The first that fails its checksum
+  // or does not decode (a checksum-valid row ending before it starts, say)
+  // starts the torn tail.
+  std::span<const std::uint8_t> bytes = seg.bytes();
+  std::uint64_t at = kSegmentHeaderBytes;
+  while (std::optional<FrameView> frame = probe_frame(bytes.subspan(at))) {
+    try {
+      wal.events.push_back(decode_event(frame->payload));
+    } catch (const StorageError&) {
+      break;
+    }
+    at += frame->frame_bytes;
+  }
+  wal.frame_bytes = at - kSegmentHeaderBytes;
+  wal.torn_bytes = bytes.size() - at;
+  return wal;
+}
+
+EventLogWriter::EventLogWriter(const fs::path& dir) : dir_(dir) {
   fs::create_directories(dir_);
+  next_seq_ = next_sequence(list_segments(dir_));
+  fs::path wal_path = dir_ / kWalName;
+  WalRead dropped = read_wal(wal_path);
   if (obs::MetricsRegistry* reg = obs::registry_ptr()) {
     bytes_written_ = &reg->counter("grca_storage_bytes_written_total");
     wal_writes_ = &reg->counter("grca_storage_wal_writes_total");
-    recovered_bytes_ = &reg->counter("grca_storage_recovered_bytes");
     seals_ = &reg->counter("grca_storage_seals_total");
-  }
-  for (const fs::path& seg : list_segments(dir_)) {
-    next_seq_ = std::max(next_seq_, *parse_seq(seg) + 1);
-  }
-  // Recover (or discard) an existing WAL, then rewrite it normalized: the
-  // header plus exactly the re-adopted frames. Rewriting instead of
-  // truncating keeps the recovery logic in one place.
-  fs::path wal_path = dir_ / kWalName;
-  std::uint64_t dropped = 0;
-  if (fs::exists(wal_path)) {
-    std::uint64_t file_size = fs::file_size(wal_path);
-    try {
-      SegmentReader wal = SegmentReader::open(wal_path);
-      SegmentReader::Scan scan = wal.scan_frames();
-      dropped = scan.dropped_bytes;
-      if (discard_wal) {
-        dropped = file_size - kSegmentHeaderBytes;
-      } else {
-        pending_ = std::move(scan.events);
-        if (recovered_bytes_ && scan.valid_bytes > kSegmentHeaderBytes) {
-          recovered_bytes_->inc(scan.valid_bytes - kSegmentHeaderBytes);
-        }
-      }
-    } catch (const StorageError&) {
-      // Even the header is damaged (crash while creating the file): the
-      // whole thing is a torn tail.
-      dropped = file_size;
+    // Listed (at zero) like every other storage counter; only a reader
+    // that adopts WAL frames adds to it.
+    reg->counter("grca_storage_recovered_bytes");
+    if (std::uint64_t bytes = dropped.frame_bytes + dropped.torn_bytes) {
+      reg->counter("grca_storage_truncated_bytes").inc(bytes);
     }
   }
-  if (obs::MetricsRegistry* reg = obs::registry_ptr(); reg && dropped > 0) {
-    reg->counter("grca_storage_truncated_bytes").inc(dropped);
-  }
-  // Rewrite the WAL from scratch: header + re-adopted frames.
-  std::vector<std::uint8_t> image =
-      encode_segment_header(next_seq_, SegmentKind::kLive);
-  for (const core::EventInstance& e : pending_) encode_frame(e, image);
   wal_ = WritableFile::open(wal_path);
-  reset_wal(image);
+  reset_wal();
 }
 
-void EventLogWriter::reset_wal(std::span<const std::uint8_t> image) {
+void EventLogWriter::reset_wal() {
   wal_.truncate(0);
   wal_size_ = 0;
-  write_wal(image);
+  write_wal(encode_segment_header(next_seq_, SegmentKind::kLive));
 }
 
 void EventLogWriter::write_wal(std::span<const std::uint8_t> bytes) {
@@ -185,7 +225,7 @@ std::optional<std::uint64_t> EventLogWriter::seal(util::TimeSec watermark) {
   std::uint64_t seq = next_seq_++;
   pending_.clear();
   // Reset the WAL for the next batch (new header carries the new seq).
-  reset_wal(encode_segment_header(next_seq_, SegmentKind::kLive));
+  reset_wal();
   return seq;
 }
 
@@ -213,24 +253,6 @@ void write_sealed_store(const fs::path& dir, const core::EventStore& store,
     reg->counter("grca_storage_bytes_written_total").inc(image.size());
     reg->counter("grca_storage_seals_total").inc();
   }
-}
-
-SealedLoad load_sealed_events(const fs::path& dir) {
-  SealedLoad load;
-  for (const fs::path& path : list_segments(dir)) {
-    SegmentReader seg = SegmentReader::open(path);
-    if (!seg.sealed()) continue;
-    std::vector<core::EventInstance> events = seg.read_all_events();
-    load.events.insert(load.events.end(),
-                       std::make_move_iterator(events.begin()),
-                       std::make_move_iterator(events.end()));
-    util::TimeSec watermark = seg.v2_footer().watermark;
-    if (!load.watermark || watermark > *load.watermark) {
-      load.watermark = watermark;
-    }
-    ++load.segments;
-  }
-  return load;
 }
 
 namespace {
@@ -320,19 +342,8 @@ VerifyReport verify_store(const fs::path& dir, bool deep) {
     report.errors.push_back(dir.string() + " is not a directory");
     return report;
   }
-  std::vector<fs::path> paths = list_segments(dir);
-  fs::path wal_path = dir / kWalName;
-  if (fs::exists(wal_path)) paths.push_back(wal_path);
-  for (const fs::path& path : paths) {
+  for (const fs::path& path : list_segments(dir)) {
     ++report.segments;
-    if (path == wal_path && fs::file_size(path) < kSegmentHeaderBytes) {
-      // A crash while the WAL was being rewritten tore its header: the
-      // whole file is a torn tail, as open() and EventLogWriter treat it.
-      std::uint64_t size = fs::file_size(path);
-      report.bytes += size;
-      report.torn_wal_bytes += size;
-      continue;
-    }
     SegmentReader seg;
     try {
       seg = SegmentReader::open(path);
@@ -343,15 +354,21 @@ VerifyReport verify_store(const fs::path& dir, bool deep) {
     report.bytes += seg.size();
     if (seg.sealed()) {
       check_sealed(seg, report, deep);
-    } else if (path == wal_path) {
-      SegmentReader::Scan scan = seg.scan_frames();
-      report.frames += scan.events.size();
-      report.torn_wal_bytes += scan.dropped_bytes;
     } else {
       // Only the WAL may be live.
       report.errors.push_back(path.string() + ": not a sealed segment");
     }
   }
+  WalRead wal = read_wal(dir / kWalName);
+  if (!wal.present()) return report;
+  ++report.segments;
+  if (wal.header == WalRead::Header::kDamaged) {
+    report.errors.push_back(wal.damage);
+    return report;
+  }
+  report.bytes += wal.size;
+  report.frames += wal.events.size();
+  report.torn_wal_bytes += wal.torn_bytes;
   return report;
 }
 
@@ -360,41 +377,27 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir) {
   // valid prefix. The stable per-(name,start) sort in group_for_seal keeps
   // ties in this collection order, so merged buckets read back in exactly
   // the order the separate segments produced.
-  std::vector<fs::path> inputs = list_segments(dir);
   std::vector<core::EventInstance> events;
-  util::TimeSec watermark = 0;
-  for (const fs::path& path : inputs) {
-    SegmentReader seg = SegmentReader::open(path);
-    if (!seg.sealed()) {
-      throw StorageError("storage: refusing to compact unsealed segment " +
-                         path.string());
-    }
-    std::vector<core::EventInstance> from_seg;
-    try {
-      from_seg = seg.read_all_events();
-    } catch (const StorageError& e) {
-      throw StorageError("storage: refusing to compact corrupt segment " +
-                         path.string() + ": " + e.what());
-    }
-    watermark = std::max(watermark, seg.v2_footer().watermark);
-    events.insert(events.end(),
-                  std::make_move_iterator(from_seg.begin()),
-                  std::make_move_iterator(from_seg.end()));
+  SealedRead sealed;
+  try {
+    sealed = read_sealed(dir, [&events](core::EventInstance e) {
+      events.push_back(std::move(e));
+    });
+  } catch (const StorageError& e) {
+    throw StorageError(std::string("storage: refusing to compact: ") +
+                       e.what());
   }
-  std::uint64_t next_seq = 1;
+  // A WAL torn inside its header holds no frames: compact it as empty. A
+  // damaged full-length header may hide frames: refuse.
   fs::path wal_path = dir / kWalName;
-  // A WAL torn inside its header holds no frames: compact it as empty.
-  if (fs::exists(wal_path) &&
-      fs::file_size(wal_path) >= kSegmentHeaderBytes) {
-    SegmentReader wal = SegmentReader::open(wal_path);
-    SegmentReader::Scan scan = wal.scan_frames();
-    events.insert(events.end(),
-                  std::make_move_iterator(scan.events.begin()),
-                  std::make_move_iterator(scan.events.end()));
+  WalRead wal = read_wal(wal_path);
+  if (wal.header == WalRead::Header::kDamaged) {
+    throw StorageError("storage: refusing to compact: " + wal.damage);
   }
-  for (const fs::path& path : inputs) {
-    next_seq = std::max(next_seq, *parse_seq(path) + 1);
-  }
+  events.insert(events.end(), std::make_move_iterator(wal.events.begin()),
+                std::make_move_iterator(wal.events.end()));
+  std::uint64_t next_seq = next_sequence(sealed.files);
+  util::TimeSec watermark = sealed.watermark.value_or(0);
   if (events.empty()) return std::nullopt;
   obs::ScopedSpan span("store-compact");
   auto groups = group_for_seal(events);
@@ -428,7 +431,7 @@ std::optional<std::uint64_t> compact_store(const fs::path& dir) {
                          check.errors.front());
     }
   }
-  for (const fs::path& path : inputs) fs::remove(path);
+  for (const fs::path& path : sealed.files) fs::remove(path);
   fs::remove(wal_path);
   return next_seq;
 }

@@ -1,27 +1,32 @@
 // Copyright (c) 2026 The G-RCA Reproduction Authors.
 // SPDX-License-Identifier: MIT
 //
-// The segmented event log: a directory of segment files plus the writer
-// that grows it.
+// The segmented event log: a directory of segment files, the two readers
+// every command reads it through, and the writer that grows it.
 //
 //   <dir>/seg-000001.grseg   sealed segments, in sequence order
 //   <dir>/seg-000002.grseg
 //   <dir>/wal.grseg          the live write-ahead segment (may be absent)
 //
+// One damage policy for every command (docs/STORAGE.md, "Crash recovery"):
+// read_sealed() throws on any sealed damage; read_wal() reports WAL damage
+// and never throws.
+//
 // Appends go to the WAL as whole frames, one write per append call
-// (crash-safe: a torn tail is truncated on the next open). seal() rewrites
-// everything pending as a new sealed columnar segment — written to a temp
-// file and renamed, so a crash mid-seal leaves either the old state or the
-// new, never a half segment — and resets the WAL in place: truncate, then
-// write the new header, so a crash between the two leaves a WAL torn
-// inside its header, which every reader treats as empty. The sealed-segment
-// watermark records the stream time up to which the writer's producer had
-// finalized events; a restarted streaming engine resumes from the newest
-// sealed watermark.
+// (crash-safe: readers keep the whole-frame prefix of a torn tail). seal()
+// rewrites everything pending as a new sealed columnar segment — written to
+// a temp file and renamed, so a crash mid-seal leaves either the old state
+// or the new, never a half segment — and resets the WAL in place: truncate,
+// then write the new header, so a crash between the two leaves a WAL torn
+// inside its header, which read_wal() reports as torn and every caller
+// treats as empty. The sealed-segment watermark records the stream time up
+// to which the writer's producer had finalized events; a restarted
+// streaming engine resumes from the newest sealed watermark.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -43,19 +48,61 @@ inline constexpr const char* kSegmentExtension = ".grseg";
 std::vector<std::filesystem::path> list_segments(
     const std::filesystem::path& dir);
 
+/// What read_sealed() walked.
+struct SealedRead {
+  std::vector<std::filesystem::path> files;  // in sequence order
+  std::uint64_t bytes = 0;                   // sealed segment bytes read
+  std::optional<util::TimeSec> watermark;    // newest; nullopt without one
+};
+
+/// The sealed-segment reader: opens every sealed segment under `dir` in
+/// sequence order, checks it (header, footer, each column region's CRC32C)
+/// and decodes it, passing its events to `sink` in stored order before the
+/// next segment is read — events go straight from the segment's bytes to
+/// the caller, with no copy of the log in between. Any damage, and a live
+/// segment under a sealed name, throws StorageError naming the file; the
+/// caller then discards what the sink received.
+SealedRead read_sealed(const std::filesystem::path& dir,
+                       const std::function<void(core::EventInstance)>& sink);
+
+/// What read_wal() found in a WAL file. Reading never throws on damage: a
+/// WAL is where a crash legitimately leaves torn bytes, and each caller
+/// decides what a damaged header means to it.
+struct WalRead {
+  enum class Header {
+    kAbsent,   // no file
+    kTorn,     // shorter than a segment header: a crash inside a seal's
+               // in-place reset (truncate, then write the header)
+    kDamaged,  // full length but not a valid live header (see `damage`)
+    kValid,
+  };
+  Header header = Header::kAbsent;
+  std::uint64_t size = 0;                   // file bytes
+  std::uint64_t seq = 0;                    // header sequence (kValid)
+  std::vector<core::EventInstance> events;  // the valid whole-frame prefix
+  std::uint64_t frame_bytes = 0;            // bytes of those frames
+  std::uint64_t torn_bytes = 0;  // past the prefix (the whole file unless
+                                 // the header is valid)
+  std::string damage;            // why the header failed (kDamaged)
+
+  bool present() const noexcept { return header != Header::kAbsent; }
+};
+
+/// The WAL reader: reads `path` (normally `<dir>/wal.grseg`) as a live
+/// segment and keeps its valid whole-frame prefix. A sealed segment under
+/// the WAL's name is a damaged header.
+WalRead read_wal(const std::filesystem::path& path);
+
 /// Appends events to the log's WAL and periodically seals them into
 /// columnar segments. Single-writer by design (the ingest thread).
 class EventLogWriter {
  public:
-  /// Opens (creating if needed) the log at `dir`. An existing WAL is
-  /// recovered: the valid frame prefix is either re-adopted as pending
-  /// (discard_wal = false — a batch writer continuing an interrupted
-  /// append) or dropped (discard_wal = true — the streaming engine, which
-  /// resumes strictly from the last *sealed* segment and re-derives the
-  /// tail from its feed). Torn bytes are counted into the
-  /// `grca_storage_recovered_bytes` metric either way.
-  explicit EventLogWriter(const std::filesystem::path& dir,
-                          bool discard_wal = false);
+  /// Opens (creating if needed) the log at `dir` and starts a fresh WAL.
+  /// A leftover WAL is dropped whole, whatever its state: the producer
+  /// (the streaming engine) resumes strictly from the last *sealed*
+  /// segment and re-derives the tail from its feed. The dropped bytes are
+  /// counted into the `grca_storage_truncated_bytes` metric.
+  explicit EventLogWriter(const std::filesystem::path& dir);
 
   /// Write-ahead append: encodes one frame per event, in span order, and
   /// writes them all with one write call. When this returns every frame is
@@ -64,9 +111,9 @@ class EventLogWriter {
   /// prefix plus a torn tail. Single events pass a one-element span.
   void append(std::span<const core::EventInstance> events);
 
-  /// Seals everything pending (recovered + appended since the last seal)
-  /// into columnar segment `seq = last+1`, grouped by name and sorted by
-  /// start, with `watermark` recorded in the footer; then resets the WAL
+  /// Seals everything appended since the last seal into columnar segment
+  /// `seq = last+1`, grouped by name and sorted by start, with
+  /// `watermark` recorded in the footer; then resets the WAL
   /// on its open descriptor (truncate, then write the new header). A seal
   /// with nothing pending still writes an (empty) segment — it records
   /// watermark progress, which resume depends on across quiet intervals;
@@ -76,11 +123,10 @@ class EventLogWriter {
 
   std::size_t pending() const noexcept { return pending_.size(); }
   std::uint64_t bytes_appended() const noexcept { return bytes_appended_; }
-  const std::filesystem::path& dir() const noexcept { return dir_; }
 
  private:
-  /// Truncates the WAL, then writes `image` (header + frames) at offset 0.
-  void reset_wal(std::span<const std::uint8_t> image);
+  /// Truncates the WAL, then writes a header for segment `next_seq_`.
+  void reset_wal();
   /// Writes `bytes` at the WAL's end, counting the write calls.
   void write_wal(std::span<const std::uint8_t> bytes);
 
@@ -93,7 +139,6 @@ class EventLogWriter {
   std::uint64_t bytes_appended_ = 0;
   obs::Counter* bytes_written_ = nullptr;
   obs::Counter* wal_writes_ = nullptr;
-  obs::Counter* recovered_bytes_ = nullptr;
   obs::Counter* seals_ = nullptr;
 };
 
@@ -105,22 +150,13 @@ void write_sealed_store(const std::filesystem::path& dir,
                         const core::EventStore& store,
                         util::TimeSec watermark);
 
-/// Everything recoverable from the log's *sealed* segments, in (segment
-/// sequence, file) order — the streaming engine's resume source. The WAL is
-/// deliberately ignored here.
-struct SealedLoad {
-  std::vector<core::EventInstance> events;
-  std::optional<util::TimeSec> watermark;  // newest sealed watermark
-  std::size_t segments = 0;
-};
-SealedLoad load_sealed_events(const std::filesystem::path& dir);
-
 /// Full-sweep integrity check. Normal mode checks every checksum and every
 /// byte's decodability: header CRCs, footer CRCs, every WAL frame CRC,
 /// column region CRCs, a full structural decode, and footer/data agreement
 /// on counts and tiling. A segment file that is not sealed (a v1 sealed
 /// segment included) is an error; only the WAL may legitimately carry a
-/// torn tail, even one inside its header (reported, not an error). Deep
+/// torn tail, even one inside its header (reported, not an error), and a
+/// WAL header of full length that does not validate is an error. Deep
 /// mode additionally recomputes the footer statistics — per-run
 /// max_duration and every zone map (min/max start, location range, name
 /// bitmap) — against the decoded rows, catching stats-only damage that
@@ -140,13 +176,15 @@ VerifyReport verify_store(const std::filesystem::path& dir,
 
 /// Rewrites the log as a single sealed segment containing every event from
 /// every sealed segment plus the WAL's valid prefix (a WAL torn inside its
-/// header counts as empty), then removes the inputs. Query results are
-/// unchanged (same events, same order — ties keep segment order); the
-/// newest input watermark is carried over. Before any input is removed,
-/// the freshly written segment is re-opened and deep-checked (footer
-/// statistics recomputed from a full rescan); a mismatch deletes the
-/// output and throws, leaving the inputs untouched. Returns the new
-/// segment's sequence number, or nullopt when the log is empty.
+/// header counts as empty), then removes the inputs. Sealed damage, a live
+/// segment under a sealed name and a damaged full-length WAL header throw
+/// before anything is written. Query results are unchanged (same events,
+/// same order — ties keep segment order); the newest input watermark is
+/// carried over. Before any input is removed, the freshly written segment
+/// is re-opened and deep-checked (footer statistics recomputed from a full
+/// rescan); a mismatch deletes the output and throws, leaving the inputs
+/// untouched. Returns the new segment's sequence number, or nullopt when
+/// the log is empty.
 std::optional<std::uint64_t> compact_store(const std::filesystem::path& dir);
 
 }  // namespace grca::storage

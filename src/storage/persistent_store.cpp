@@ -3,8 +3,6 @@
 
 #include "storage/persistent_store.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "storage/event_log.h"
@@ -16,46 +14,22 @@ PersistentEventStore PersistentEventStore::open(
     const std::filesystem::path& dir) {
   obs::ScopedSpan span("store-open");
   PersistentEventStore store;
-  store.dir_ = dir;
 
-  // Sealed segments in sequence order. SegmentReader::open already refuses
-  // a damaged footer or a v1 sealed segment, and read_all_events a run
-  // whose column region fails its checksum; a live segment under a sealed
-  // segment's name is refused here (verify is the diagnostic tool).
-  for (const std::filesystem::path& path : list_segments(dir)) {
-    SegmentReader seg = SegmentReader::open(path);
-    if (!seg.sealed()) {
-      throw StorageError("storage: segment " + path.string() +
-                         " is not sealed");
-    }
-    store.stats_.sealed_bytes += seg.size();
-    store.watermark_ = std::max(store.watermark_, seg.v2_footer().watermark);
-    for (core::EventInstance& e : seg.read_all_events()) {
-      store.add(std::move(e));
-    }
-    ++store.stats_.sealed_segments;
-  }
-
-  // Recover the WAL read-only: adopt the valid frame prefix, skip (and
-  // count) the torn tail. Damage before the first frame means nothing is
-  // recoverable.
-  std::filesystem::path wal_path = dir / kWalName;
-  if (std::filesystem::exists(wal_path)) {
-    store.stats_.wal_present = true;
-    SegmentReader::Scan scan;
-    try {
-      scan = SegmentReader::open(wal_path).scan_frames();
-      store.stats_.recovered_bytes =
-          scan.valid_bytes > kSegmentHeaderBytes
-              ? scan.valid_bytes - kSegmentHeaderBytes
-              : 0;
-      store.stats_.truncated_bytes = scan.dropped_bytes;
-    } catch (const StorageError&) {
-      store.stats_.truncated_bytes = std::filesystem::file_size(wal_path);
-    }
-    store.stats_.wal_events = scan.events.size();
-    for (core::EventInstance& e : scan.events) store.add(std::move(e));
-  }
+  // Sealed segments first, in sequence order, each run checked before it
+  // decodes; then the WAL's valid frame prefix, read-only: a torn tail is
+  // skipped and counted, and a damaged header leaves nothing to adopt.
+  SealedRead sealed = read_sealed(dir, [&store](core::EventInstance e) {
+    store.add(std::move(e));
+  });
+  store.watermark_ = sealed.watermark.value_or(0);
+  store.stats_.sealed_segments = sealed.files.size();
+  store.stats_.sealed_bytes = sealed.bytes;
+  WalRead wal = read_wal(dir / kWalName);
+  store.stats_.wal_present = wal.present();
+  store.stats_.wal_events = wal.events.size();
+  store.stats_.recovered_bytes = wal.frame_bytes;
+  store.stats_.truncated_bytes = wal.torn_bytes;
+  for (core::EventInstance& e : wal.events) store.add(std::move(e));
   if (store.stats_.sealed_segments == 0 && !store.stats_.wal_present) {
     throw StorageError("storage: no event log at " + dir.string() +
                        " (no segments, no WAL)");

@@ -5,14 +5,15 @@
 // event log directory, so diagnosis runs against a persisted corpus without
 // re-ingesting raw telemetry.
 //
-// open() decodes every sealed segment, then the WAL's valid frame prefix (a
-// torn tail is skipped and counted, never modified: the reader is strictly
-// read-only), into the store and finalizes it. Each sealed run's column
-// region is checked against its CRC32C before it is decoded. Events are
-// added per name in segment-sequence order with the WAL tail last, so the
-// store's stable sort by start yields exactly the in-memory store's bucket
-// order — the basis of the byte-identical-verdicts guarantee. A name held
-// in one sealed run arrives already sorted and is never re-sorted.
+// open() decodes every sealed segment (storage::read_sealed), then the
+// WAL's valid frame prefix (storage::read_wal: a torn tail is skipped and
+// counted, never modified — open is strictly read-only), into the store
+// and finalizes it. Each sealed run's column region is checked against its
+// CRC32C before it is decoded. Events are added per name in
+// segment-sequence order with the WAL tail last, so the store's stable
+// sort by start yields exactly the in-memory store's bucket order — the
+// basis of the byte-identical-verdicts guarantee. A name held in one
+// sealed run arrives already sorted and is never re-sorted.
 //
 // Threading: the store is finalized before open() returns, so every query
 // is read-only and safe from any number of threads, as for any warmed
@@ -47,12 +48,10 @@ class PersistentEventStore final : public core::EventStore {
   const OpenStats& stats() const noexcept { return stats_; }
   /// Newest sealed watermark (0 when no sealed segment exists).
   util::TimeSec watermark() const noexcept { return watermark_; }
-  const std::filesystem::path& dir() const noexcept { return dir_; }
 
  private:
   PersistentEventStore() = default;
 
-  std::filesystem::path dir_;
   util::TimeSec watermark_ = 0;
   OpenStats stats_;
 };

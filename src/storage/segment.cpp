@@ -104,11 +104,10 @@ const V2Footer& SegmentReader::v2_footer() const {
   return v2_footer_;
 }
 
-std::vector<core::EventInstance> SegmentReader::read_all_events() const {
-  std::vector<core::EventInstance> events;
-  events.reserve(v2_footer().event_count);
+void SegmentReader::for_each_event(
+    const std::function<void(core::EventInstance)>& sink) const {
   std::span<const std::uint8_t> bytes = bytes_;
-  for (const V2Run& run : v2_footer_.runs) {
+  for (const V2Run& run : v2_footer().runs) {
     if (crc32c(bytes.data() + run.region_off, run.region_len()) !=
         run.region_crc) {
       throw StorageError("storage: " + path_.string() + " run '" +
@@ -117,42 +116,14 @@ std::vector<core::EventInstance> SegmentReader::read_all_events() const {
     }
     try {
       decode_v2_rows(bytes, v2_footer_, run,
-                     [&events](core::EventInstance e, core::LocId) {
-                       events.push_back(std::move(e));
+                     [&sink](core::EventInstance e, core::LocId) {
+                       sink(std::move(e));
                      });
     } catch (const StorageError& e) {
       throw StorageError("storage: " + path_.string() + " run '" +
                          v2_footer_.names[run.name_id] + "': " + e.what());
     }
   }
-  return events;
-}
-
-SegmentReader::Scan SegmentReader::scan_frames() const {
-  if (sealed_) {
-    throw StorageError("storage: " + path_.string() +
-                       " is columnar; it has no frames to scan");
-  }
-  Scan scan;
-  std::span<const std::uint8_t> bytes = bytes_;
-  std::uint64_t at = kSegmentHeaderBytes;
-  while (at < bytes.size()) {
-    std::optional<FrameView> frame = probe_frame(bytes.subspan(at));
-    if (!frame) break;
-    core::EventInstance e;
-    try {
-      e = decode_event(frame->payload);
-    } catch (const StorageError&) {
-      // Checksum-valid but semantically malformed (e.g. hand-edited file):
-      // treat like a torn tail rather than crashing recovery.
-      break;
-    }
-    scan.events.push_back(std::move(e));
-    at += frame->frame_bytes;
-  }
-  scan.valid_bytes = at;
-  scan.dropped_bytes = bytes.size() - at;
-  return scan;
 }
 
 }  // namespace grca::storage

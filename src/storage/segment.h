@@ -8,8 +8,8 @@
 // version, kind, sequence number). The version follows the kind:
 //
 //  - LIVE (write-ahead) segments are v1: header + CRC-framed rows in append
-//    order, no footer. A crash can tear the tail; recovery scans frames and
-//    keeps the valid prefix.
+//    order, no footer. A crash can tear the tail; the WAL reader
+//    (storage::read_wal) scans the frames and keeps the valid prefix.
 //  - SEALED segments are v2 columnar (storage/columnar.h): per-name column
 //    regions followed by a footer of dictionaries and zone maps. The footer
 //    ends with a fixed trailer (length, CRC32C, magic) that must validate.
@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,25 +61,15 @@ class SegmentReader {
   std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
   std::uint64_t size() const noexcept { return bytes_.size(); }
 
-  /// Decodes a live segment's frames sequentially from the header end.
-  /// Stops cleanly at the first invalid frame (the torn tail; a
-  /// checksum-valid frame that does not decode, such as one whose record
-  /// ends before it starts, counts as the boundary too):
-  /// `valid_bytes` is the offset of that boundary and `dropped_bytes` what
-  /// follows it. Throws StorageError on a sealed segment.
-  struct Scan {
-    std::vector<core::EventInstance> events;
-    std::uint64_t valid_bytes = 0;
-    std::uint64_t dropped_bytes = 0;
-  };
-  Scan scan_frames() const;
-
-  /// Every event of a *sealed* segment in stored order (a full columnar
-  /// decode, each run's column region checked against its CRC32C first).
-  /// Unlike scan_frames, any damage throws StorageError naming the file
-  /// and run — a sealed segment has no legitimate torn tail. A row that
-  /// ends before it starts counts as damage even under a valid checksum.
-  std::vector<core::EventInstance> read_all_events() const;
+  /// Passes every event of a *sealed* segment to `sink` in stored order (a
+  /// full columnar decode, each run's column region checked against its
+  /// CRC32C first). Unlike a WAL's frames (read_wal), any damage throws
+  /// StorageError naming the file and run — a sealed segment has no
+  /// legitimate torn tail; rows of earlier runs have reached the sink by
+  /// then. A row that ends before it starts counts as damage even under a
+  /// valid checksum.
+  void for_each_event(
+      const std::function<void(core::EventInstance)>& sink) const;
 
  private:
   std::filesystem::path path_;

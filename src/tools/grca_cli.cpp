@@ -844,24 +844,21 @@ int cmd_store(const std::string& action, const Args& args) {
   }
   if (action == "inspect") {
     std::vector<fs::path> segments = storage::list_segments(dir);
-    bool wal = fs::exists(dir / storage::kWalName);
-    if (segments.empty() && !wal) {
+    storage::WalRead wal = storage::read_wal(dir / storage::kWalName);
+    if (segments.empty() && !wal.present()) {
       std::cerr << "no event log at " << dir.string() << "\n";
       return 1;
     }
-    if (wal) segments.push_back(dir / storage::kWalName);
     std::uint64_t total_events = 0;
-    for (const fs::path& path : segments) {
-      if (std::uintmax_t size = fs::file_size(path);
-          path.filename() == storage::kWalName &&
-          size < storage::kSegmentHeaderBytes) {
-        // A crash while the WAL was being rewritten tore its header: the
-        // whole file is a recoverable torn tail, as verify reports it.
-        std::cout << path.filename().string() << ": " << size
-                  << " bytes, live WAL: 0 valid frames, torn tail " << size
-                  << " bytes (inside the header)\n";
-        continue;
+    auto print_frames = [&total_events](const storage::WalRead& live) {
+      total_events += live.events.size();
+      std::cout << "live WAL: " << live.events.size() << " valid frames";
+      if (live.torn_bytes > 0) {
+        std::cout << ", torn tail " << live.torn_bytes << " bytes";
       }
+      std::cout << "\n";
+    };
+    for (const fs::path& path : segments) {
       storage::SegmentReader seg = storage::SegmentReader::open(path);
       std::cout << path.filename().string() << ": seq " << seg.seq() << ", "
                 << seg.size() << " bytes, ";
@@ -894,18 +891,27 @@ int cmd_store(const std::string& action, const Args& args) {
                     << run.locs_len << ", attrs " << run.attrs_len << ")\n";
         }
       } else {
-        storage::SegmentReader::Scan scan = seg.scan_frames();
-        total_events += scan.events.size();
-        std::cout << "live WAL: " << scan.events.size()
-                  << " valid frames";
-        if (scan.dropped_bytes > 0) {
-          std::cout << ", torn tail " << scan.dropped_bytes << " bytes";
-        }
-        std::cout << "\n";
+        print_frames(storage::read_wal(path));
       }
     }
+    // The WAL comes last, after every sealed segment is listed. A header
+    // torn by a crash inside a seal's reset is a recoverable torn tail, as
+    // verify reports it; a damaged one of full length fails the command.
+    if (wal.header == storage::WalRead::Header::kDamaged) {
+      std::cerr << "error: " << wal.damage << "\n";
+      return 1;
+    }
+    if (wal.header == storage::WalRead::Header::kTorn) {
+      std::cout << storage::kWalName << ": " << wal.size
+                << " bytes, live WAL: 0 valid frames, torn tail " << wal.size
+                << " bytes (inside the header)\n";
+    } else if (wal.present()) {
+      std::cout << storage::kWalName << ": seq " << wal.seq << ", "
+                << wal.size << " bytes, ";
+      print_frames(wal);
+    }
     std::cout << "total: " << total_events << " events in "
-              << segments.size() << " file(s)\n";
+              << segments.size() + (wal.present() ? 1 : 0) << " file(s)\n";
     return 0;
   }
   usage("unknown store action '" + action + "'");

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "apps/bgp_flap_app.h"
 #include "apps/cdn_app.h"
 #include "apps/pim_app.h"
@@ -169,6 +173,20 @@ TEST(Browser, TrendBucketsByDay) {
   ResultBrowser browser(std::move(ds));
   auto table = browser.trend();
   EXPECT_EQ(table.row_count(), 2u);  // two distinct days
+}
+
+// The row-order and day-bucket rules the text tables and the service
+// plane's JSON share.
+TEST(Browser, BreakdownOrderAndTrendCellRules) {
+  std::map<std::string, std::size_t> counts = {
+      {"a", 1}, {"b", 2}, {"c", 2}, {"d", 5}};
+  EXPECT_EQ(core::breakdown_order(counts, {"c", "absent", "a"}),
+            (std::vector<std::string>{"c", "a", "d", "b"}));
+  EXPECT_EQ(core::breakdown_order(counts, {}),
+            (std::vector<std::string>{"d", "b", "c", "a"}));
+  EXPECT_EQ(core::trend_cell(util::kDay + 5, "x"),
+            (core::TrendCell{util::kDay, "x"}));
+  EXPECT_EQ(core::trend_cell(util::kDay - 1, "x").first, 0);
 }
 
 TEST(Browser, MeanDiagnosisTime) {

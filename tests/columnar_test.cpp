@@ -154,7 +154,9 @@ TEST(ColumnarSegment, RoundTripsEveryRowInStoredOrder) {
     auto span = mem.all(name);
     want.insert(want.end(), span.begin(), span.end());
   }
-  std::vector<core::EventInstance> got = seg.read_all_events();
+  std::vector<core::EventInstance> got;
+  seg.for_each_event(
+      [&got](core::EventInstance e) { got.push_back(std::move(e)); });
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     // where_id is bookkeeping, never serialized.

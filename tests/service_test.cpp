@@ -394,6 +394,27 @@ TEST(ServicePlane, RoutesEndpointsAndErrors) {
   EXPECT_NE(ok.body.find("\"cause\": \"interface-flap\""), std::string::npos);
 }
 
+// A time bound must be wholly an integer: "5x" once answered as if it were
+// 5. Both bounds answer 400 naming the parameter.
+TEST(ServicePlane, QueryBoundsParseInFull) {
+  EXPECT_THROW(QueryFilter::parse({{"from", "5x"}}), ParseError);
+  EXPECT_THROW(QueryFilter::parse({{"to", "12 "}}), ParseError);
+  EXPECT_EQ(QueryFilter::parse({{"from", "-5"}}).from, -5);
+
+  PlaneFixture fx;
+  net::HttpRequest req;
+  req.method = "GET";
+  req.path = "/api/breakdown";
+  for (const char* key : {"from", "to"}) {
+    req.query = {{key, "5x"}};
+    net::HttpResponse bad = fx.plane.handle(req);
+    EXPECT_EQ(bad.status, 400) << key;
+    EXPECT_NE(bad.body.find(std::string("bad ") + key + " bound '5x'"),
+              std::string::npos)
+        << bad.body;
+  }
+}
+
 TEST(ServicePlane, HandleEqualsDirectRenderers) {
   PlaneFixture fx;
   // The endpoint and the renderer must agree byte for byte — this is the

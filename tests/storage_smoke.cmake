@@ -1,8 +1,9 @@
 # The on-disk storage gate, end to end through the grca CLI. A sealed store
 # and a streaming write-ahead log must both diagnose byte-identically to
 # re-extraction from the raw corpus, across a process boundary and through
-# compaction, a WAL torn inside its header must stay recoverable, and a
-# corrupted segment must fail verification.
+# compaction, a WAL torn inside its header must stay recoverable, a WAL
+# whose full-length header is damaged must be listed after every sealed
+# segment and refused, and a corrupted segment must fail verification.
 #   cmake -DGRCA=path/to/grca -DPYTHON=path/to/python3 -DWORK=scratch/dir
 #         -P storage_smoke.cmake
 # WORK is emptied first and left behind for inspection.
@@ -78,6 +79,58 @@ run_grca(out store verify --dir torn-log)
 run_grca(out diagnose --study bgp --data store-data --store torn-log)
 expect_fresh(torn "${out}")
 run_grca(out store compact --dir torn-log)
+
+# A WAL of full length whose header fails its checksum may hide frames:
+# `store inspect` lists every sealed segment and then fails naming the WAL,
+# verify fails, and compact refuses, leaving every file as it was.
+file(COPY "${WORK}/stream-log/" DESTINATION "${WORK}/damaged-log")
+execute_process(
+  COMMAND "${PYTHON}" -c
+          "import sys; p = sys.argv[1]; d = bytearray(open(p, 'rb').read()); d[9] ^= 0x04; open(p, 'wb').write(bytes(d))"
+          "${WORK}/damaged-log/wal.grseg"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not damage ${WORK}/damaged-log/wal.grseg")
+endif()
+file(GLOB damaged_files RELATIVE "${WORK}/damaged-log"
+     "${WORK}/damaged-log/*")
+list(SORT damaged_files)
+set(damaged_before "")
+foreach(name IN LISTS damaged_files)
+  file(SHA256 "${WORK}/damaged-log/${name}" digest)
+  string(APPEND damaged_before "${name} ${digest}\n")
+endforeach()
+execute_process(COMMAND "${GRCA}" store inspect --dir damaged-log
+                WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "wal.grseg")
+  message(FATAL_ERROR "store inspect did not fail on the damaged WAL "
+                      "header (exit ${rc}):\n${err}")
+endif()
+foreach(name IN LISTS damaged_files)
+  if(name MATCHES "^seg-" AND NOT out MATCHES "(^|\n)${name}: seq ")
+    message(FATAL_ERROR "store inspect did not list ${name}:\n${out}")
+  endif()
+endforeach()
+foreach(action verify compact)
+  execute_process(COMMAND "${GRCA}" store ${action} --dir damaged-log
+                  WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                  OUTPUT_QUIET ERROR_QUIET)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "store ${action} accepted a damaged WAL header")
+  endif()
+endforeach()
+set(damaged_after "")
+foreach(name IN LISTS damaged_files)
+  file(SHA256 "${WORK}/damaged-log/${name}" digest)
+  string(APPEND damaged_after "${name} ${digest}\n")
+endforeach()
+file(GLOB damaged_now RELATIVE "${WORK}/damaged-log" "${WORK}/damaged-log/*")
+list(SORT damaged_now)
+if(NOT damaged_now STREQUAL damaged_files OR
+   NOT damaged_after STREQUAL damaged_before)
+  message(FATAL_ERROR "a refused store command changed damaged-log")
+endif()
 
 run_grca(out store compact --dir stream-log)
 run_grca(out store verify --dir stream-log --deep)

@@ -272,12 +272,12 @@ TEST(EventLog, TornTailRecoverySweepRecoversExactPrefix) {
           << "cut=" << cut << " lost frame " << i;
     }
 
-    // Write path: the writer re-adopts the same prefix as pending and
-    // normalizes the WAL, so a second open sees no torn bytes.
+    // Write path: the writer drops the WAL whole — valid prefix and torn
+    // tail alike — and starts a fresh one, so a second open sees neither.
     EventLogWriter writer(dir.path);
-    EXPECT_EQ(writer.pending(), whole_frames);
+    EXPECT_EQ(writer.pending(), 0u);
     PersistentEventStore reopened = PersistentEventStore::open(dir.path);
-    EXPECT_EQ(reopened.total_instances(), whole_frames);
+    EXPECT_EQ(reopened.total_instances(), 0u) << "cut=" << cut;
     EXPECT_EQ(reopened.stats().truncated_bytes, 0u);
   }
 }
@@ -293,13 +293,153 @@ TEST(EventLog, RecoveryCountsIntoMetricsRegistry) {
   fs::create_directories(dir.path);
   write_file(dir.path / kWalName, wal, full + 5);  // tear the second frame
 
+  // A reader adopts the whole frame and skips the torn one.
+  {
+    obs::MetricsRegistry registry;
+    obs::ScopedRegistry scoped(&registry);
+    PersistentEventStore store = PersistentEventStore::open(dir.path);
+    EXPECT_EQ(store.total_instances(), 1u);
+    EXPECT_EQ(registry.counter("grca_storage_recovered_bytes").value(),
+              full - kSegmentHeaderBytes);
+    EXPECT_EQ(registry.counter("grca_storage_truncated_bytes").value(), 5u);
+  }
+  // The writer drops every byte past the header: the whole frame too.
   obs::MetricsRegistry registry;
   obs::ScopedRegistry scoped(&registry);
   EventLogWriter writer(dir.path);
-  EXPECT_EQ(writer.pending(), 1u);
-  EXPECT_EQ(registry.counter("grca_storage_recovered_bytes").value(),
-            full - kSegmentHeaderBytes);
-  EXPECT_EQ(registry.counter("grca_storage_truncated_bytes").value(), 5u);
+  EXPECT_EQ(writer.pending(), 0u);
+  EXPECT_EQ(registry.counter("grca_storage_recovered_bytes").value(), 0u);
+  EXPECT_EQ(registry.counter("grca_storage_truncated_bytes").value(),
+            full + 5 - kSegmentHeaderBytes);
+}
+
+/// A log of two sealed segments plus a WAL holding `wal_events` frames,
+/// built through the writer; returns every event in append order.
+std::vector<core::EventInstance> write_two_seals_and_wal(const fs::path& dir,
+                                                         util::Rng& rng,
+                                                         int wal_events) {
+  std::vector<core::EventInstance> events;
+  EventLogWriter writer(dir);
+  util::TimeSec watermark = 0;
+  for (int seal = 0; seal < 3; ++seal) {
+    for (int i = 0; i < (seal < 2 ? 20 : wal_events); ++i) {
+      events.push_back(random_event(rng));
+      watermark = std::max(watermark, events.back().when.start + 1);
+      writer.append({&events.back(), 1});
+    }
+    if (seal < 2) writer.seal(watermark);
+  }
+  return events;
+}
+
+/// Every file under `dir` with its bytes, to show a refused command left
+/// its inputs untouched.
+std::map<std::string, std::vector<std::uint8_t>> snapshot_dir(
+    const fs::path& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = read_file(entry.path());
+  }
+  return files;
+}
+
+// A WAL of full length whose header fails its checksum (one bit flipped)
+// may hide frames, so the commands part ways by what they are for: open
+// recovers the sealed events and counts the whole WAL as truncated, the
+// writer drops it, verify reports it, and compaction refuses, leaving its
+// inputs untouched.
+TEST(EventLog, DamagedFullLengthWalHeaderPolicy) {
+  util::Rng rng(43);
+  TempDir dir("damaged");
+  std::vector<core::EventInstance> events =
+      write_two_seals_and_wal(dir.path, rng, 4);
+  const fs::path wal_path = dir.path / kWalName;
+  std::vector<std::uint8_t> wal = read_file(wal_path);
+  ASSERT_GT(wal.size(), kSegmentHeaderBytes);
+  wal[9] ^= 0x04;  // a bit of the sequence number
+  write_file(wal_path, wal, wal.size());
+
+  WalRead read = read_wal(wal_path);
+  EXPECT_EQ(read.header, WalRead::Header::kDamaged);
+  EXPECT_EQ(read.size, wal.size());
+  EXPECT_TRUE(read.events.empty());
+  EXPECT_NE(read.damage.find(wal_path.string()), std::string::npos)
+      << read.damage;
+
+  obs::MetricsRegistry registry;
+  obs::ScopedRegistry scoped(&registry);
+  PersistentEventStore store = PersistentEventStore::open(dir.path);
+  EXPECT_EQ(store.stats().sealed_segments, 2u);
+  EXPECT_TRUE(store.stats().wal_present);
+  EXPECT_EQ(store.stats().wal_events, 0u);
+  EXPECT_EQ(store.stats().recovered_bytes, 0u);
+  EXPECT_EQ(store.stats().truncated_bytes, wal.size());
+  EXPECT_EQ(store.total_instances(), events.size() - 4);
+  EXPECT_EQ(registry.counter("grca_storage_truncated_bytes").value(),
+            wal.size());
+
+  VerifyReport report = verify_store(dir.path);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_NE(report.errors.front().find(wal_path.string()), std::string::npos)
+      << report.errors.front();
+  EXPECT_EQ(report.torn_wal_bytes, 0u);
+
+  auto before = snapshot_dir(dir.path);
+  EXPECT_THROW(compact_store(dir.path), StorageError);
+  EXPECT_EQ(snapshot_dir(dir.path), before);
+
+  EventLogWriter writer(dir.path);
+  EXPECT_EQ(writer.pending(), 0u);
+  EXPECT_EQ(registry.counter("grca_storage_truncated_bytes").value(),
+            2 * wal.size());
+  PersistentEventStore reopened = PersistentEventStore::open(dir.path);
+  EXPECT_EQ(reopened.stats().wal_events, 0u);
+  EXPECT_EQ(reopened.stats().truncated_bytes, 0u);
+  EXPECT_TRUE(verify_store(dir.path).ok());
+}
+
+// A live segment under a sealed segment's name (a WAL copied in by hand, a
+// crash-era file) is sealed damage: open, compaction, verification and a
+// resuming streaming engine all refuse it, naming the file, and the
+// refused compaction leaves its inputs untouched.
+TEST(EventLog, LiveSegmentUnderSealedNameIsRefused) {
+  util::Rng rng(47);
+  TempDir dir("live-as-sealed");
+  write_two_seals_and_wal(dir.path, rng, 3);
+  const fs::path impostor = dir.path / ("seg-000003" +
+                                        std::string(kSegmentExtension));
+  fs::copy_file(dir.path / kWalName, impostor);
+  ASSERT_EQ(list_segments(dir.path).back(), impostor);
+
+  auto expect_names_impostor = [&](auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a live segment under a sealed name was accepted";
+    } catch (const StorageError& e) {
+      EXPECT_NE(std::string(e.what()).find(impostor.string()),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_names_impostor([&] { (void)PersistentEventStore::open(dir.path); });
+  auto before = snapshot_dir(dir.path);
+  expect_names_impostor([&] { (void)compact_store(dir.path); });
+  EXPECT_EQ(snapshot_dir(dir.path), before);
+  VerifyReport report = verify_store(dir.path);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_NE(report.errors.front().find(impostor.string()), std::string::npos)
+      << report.errors.front();
+
+  t::TopoParams tp;
+  tp.pops = 2;
+  tp.pers_per_pop = 2;
+  tp.customers_per_per = 2;
+  t::Network net = t::generate_isp(tp);
+  apps::StreamingOptions options;
+  options.persist_dir = dir.path;
+  expect_names_impostor([&] {
+    apps::StreamingRca stream(net, apps::bgp::build_graph(), options);
+  });
 }
 
 // ------------------------------------------------- query equivalence -----
@@ -562,14 +702,13 @@ TEST(EventLog, TornTailSweepAcrossOneMultiFrameAppend) {
                                  frame_end.begin());
     PersistentEventStore store = PersistentEventStore::open(dir.path);
     ASSERT_EQ(store.total_instances(), whole_frames) << "cut=" << cut;
-    SegmentReader::Scan scan =
-        SegmentReader::open(dir.path / kWalName).scan_frames();
+    WalRead scan = read_wal(dir.path / kWalName);
     ASSERT_EQ(scan.events.size(), whole_frames) << "cut=" << cut;
     for (std::size_t i = 0; i < whole_frames; ++i) {
       EXPECT_EQ(scan.events[i], events[i]) << "cut=" << cut << " frame " << i;
     }
     EventLogWriter writer(dir.path);
-    EXPECT_EQ(writer.pending(), whole_frames) << "cut=" << cut;
+    EXPECT_EQ(writer.pending(), 0u) << "cut=" << cut;
   }
 }
 
