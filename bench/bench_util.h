@@ -17,6 +17,7 @@
 #include "obs/export.h"
 #include "topology/config.h"
 #include "topology/topo_gen.h"
+#include "util/fork_join.h"
 #include "util/strings.h"
 
 namespace grca::bench {

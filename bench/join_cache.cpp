@@ -214,6 +214,7 @@ int main(int argc, char** argv) {
   {
     std::ofstream out(out_file);
     out << "{\n"
+        << "  \"hardware_threads\": " << util::hardware_threads() << ",\n"
         << "  \"uncached_seconds\": " << uncached_s << ",\n"
         << "  \"cached_cold_seconds\": " << cold_s << ",\n"
         << "  \"cached_warm_seconds\": " << warm_s << ",\n"

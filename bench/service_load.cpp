@@ -282,6 +282,7 @@ int main(int argc, char** argv) {
 
   std::ofstream out(out_file);
   out << "{\n"
+      << "  \"hardware_threads\": " << util::hardware_threads() << ",\n"
       << "  \"connections\": " << connections << ",\n"
       << "  \"queries_per_s\": " << static_cast<std::uint64_t>(queries_per_s)
       << ",\n"

@@ -194,6 +194,7 @@ int main(int argc, char** argv) {
   {
     std::ofstream out(out_file);
     out << "{\n"
+        << "  \"hardware_threads\": " << util::hardware_threads() << ",\n"
         << "  \"events\": " << count << ",\n"
         << "  \"bytes_appended\": " << bytes_appended << ",\n"
         << "  \"append_seconds\": " << append_s << ",\n"

@@ -6,8 +6,12 @@
 #include <algorithm>
 #include <compare>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <tuple>
+#include <utility>
 
+#include "util/fork_join.h"
 #include "util/strings.h"
 
 namespace grca::collector {
@@ -71,7 +75,8 @@ Normalizer::Normalizer(const topology::Network& net,
 }
 
 bool Normalizer::normalize(const RawRecord& raw, NormalizedRecord& out) const {
-  if (!normalize_impl(raw, out)) {
+  if (!normalize_impl(raw, out, resolved_)) {
+    ++dropped_;
     if (feed_health_) feed_health_->on_rejected(raw.source);
     return false;
   }
@@ -82,11 +87,12 @@ bool Normalizer::normalize(const RawRecord& raw, NormalizedRecord& out) const {
   return true;
 }
 
-const Normalizer::Resolved& Normalizer::resolve(Convention convention,
+const Normalizer::Resolved& Normalizer::resolve(Memo& memo,
+                                                Convention convention,
                                                 util::Symbol name) const {
-  std::vector<Resolved>& memo = resolved_[convention];
-  if (name.id() >= memo.size()) memo.resize(name.id() + 1);
-  Resolved& r = memo[name.id()];
+  std::vector<Resolved>& names = memo[convention];
+  if (name.id() >= names.size()) names.resize(name.id() + 1);
+  Resolved& r = names[name.id()];
   if (!r.seen) r = lookup(convention, name.view());
   return r;
 }
@@ -120,8 +126,18 @@ Normalizer::Resolved Normalizer::lookup(Convention convention,
   return r;
 }
 
-bool Normalizer::normalize_impl(const RawRecord& raw,
-                                NormalizedRecord& out) const {
+bool Normalizer::normalize_impl(const RawRecord& raw, NormalizedRecord& out,
+                                Memo& memo) const {
+  if (!locate(raw, out, memo)) return false;
+  out.field = raw.field;
+  out.body = raw.body;
+  out.value = raw.value;
+  out.attrs = raw.attrs;
+  return true;
+}
+
+bool Normalizer::locate(const RawRecord& raw, NormalizedRecord& out,
+                        Memo& memo) const {
   out.source = raw.source;
   out.router = util::Symbol();
   out.device = util::Symbol();
@@ -129,15 +145,15 @@ bool Normalizer::normalize_impl(const RawRecord& raw,
   switch (raw.source) {
     case SourceType::kSyslog: {
       // Device-local wall-clock time, in the router's PoP timezone.
-      const Resolved& d = resolve(kUpperRouter, raw.device);
-      if (!d.known) return reject();
+      const Resolved& d = resolve(memo, kUpperRouter, raw.device);
+      if (!d.known) return false;
       out.router = d.name;
       out.utc = d.zone->to_utc(raw.timestamp);
       break;
     }
     case SourceType::kSnmp: {
-      const Resolved& d = resolve(kFqdn, raw.device);
-      if (!d.known) return reject();
+      const Resolved& d = resolve(memo, kFqdn, raw.device);
+      if (!d.known) return false;
       out.router = d.name;
       auto it = raw.attrs.find(kInterfaceKey);
       if (it != raw.attrs.end()) out.interface = it->second;
@@ -145,15 +161,15 @@ bool Normalizer::normalize_impl(const RawRecord& raw,
       break;
     }
     case SourceType::kLayer1Log: {
-      const Resolved& d = resolve(kLayer1, raw.device);
-      if (!d.known) return reject();
+      const Resolved& d = resolve(memo, kLayer1, raw.device);
+      if (!d.known) return false;
       out.device = raw.device;
       out.utc = d.zone->to_utc(raw.timestamp);
       break;
     }
     case SourceType::kTacacs:
     case SourceType::kWorkflowLog: {
-      if (!resolve(kRouter, raw.device).known) return reject();
+      if (!resolve(memo, kRouter, raw.device).known) return false;
       out.router = raw.device;
       out.utc = raw.timestamp;
       break;
@@ -162,8 +178,8 @@ bool Normalizer::normalize_impl(const RawRecord& raw,
       auto rit = raw.attrs.find(kRouterKey);
       auto iit = raw.attrs.find(kInterfaceKey);
       if (rit == raw.attrs.end() || iit == raw.attrs.end() ||
-          !resolve(kRouter, rit->second).known) {
-        return reject();
+          !resolve(memo, kRouter, rit->second).known) {
+        return false;
       }
       out.router = rit->second;
       out.interface = iit->second;
@@ -178,12 +194,8 @@ bool Normalizer::normalize_impl(const RawRecord& raw,
       break;
     }
     default:
-      return reject();
+      return false;
   }
-  out.field = raw.field;
-  out.body = raw.body;
-  out.value = raw.value;
-  out.attrs = raw.attrs;
   return true;
 }
 
@@ -200,6 +212,8 @@ class TextRanks {
       symbols_.push_back(s);
     }
   }
+  /// The distinct symbols added, in the order first added.
+  const std::vector<util::Symbol>& symbols() const { return symbols_; }
   /// Ranks every symbol added; call once, after the last add().
   void rank() {
     std::sort(symbols_.begin(), symbols_.end());
@@ -221,44 +235,81 @@ struct SortKey {
   util::TimeSec utc;
   std::uint32_t source;
   std::uint32_t router, device, interface, field;
-  std::uint32_t index;  // into the unsorted records
+  std::uint32_t index;  // into the stream
+};
+
+/// One worker's contiguous range of the stream and what it found there.
+struct Range {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  /// One per record kept, in stream order until sorted. Names are symbol
+  /// ids until ranked.
+  std::vector<SortKey> keys;
+  TextRanks names;  // only add()ed to
+  util::TimeSec high = std::numeric_limits<util::TimeSec>::min();  // max utc
+  obs::FeedHealthMonitor::Batch health;
+  std::size_t rejected = 0;
 };
 
 }  // namespace
 
 std::vector<NormalizedRecord> Normalizer::normalize_stream(
-    const telemetry::RecordStream& stream) const {
+    const telemetry::RecordStream& stream, unsigned workers) const {
+  if (workers == 0) workers = util::hardware_threads();
+  workers = static_cast<unsigned>(std::clamp<std::size_t>(
+      stream.size() / kNormalizeBlockRecords, 1, workers));
+  // The output is sized first, on this thread: the later, smaller arrays
+  // then do not sit below it in the heap.
   std::vector<NormalizedRecord> out;
   out.reserve(stream.size());
-  // Sort keys are built with symbol ids, which become text ranks once every
-  // name is known.
-  std::vector<SortKey> keys;
-  keys.reserve(stream.size());
+  std::vector<Range> ranges(workers);
+  std::vector<Memo> memos(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    ranges[w].begin = stream.size() * w / workers;
+    ranges[w].end = stream.size() * (w + 1) / workers;
+    ranges[w].keys.reserve(ranges[w].end - ranges[w].begin);
+  }
+  // Each range's sort keys, from the fields normalization derives.
+  util::fork_join(workers, [&](unsigned w) {
+    Range& range = ranges[w];
+    NormalizedRecord head;
+    for (std::size_t i = range.begin; i < range.end; ++i) {
+      const RawRecord& raw = stream[i];
+      if (!locate(raw, head, memos[w])) {
+        ++range.rejected;
+        if (feed_health_) range.health.reject(raw.source);
+        continue;
+      }
+      for (util::Symbol s : {head.router, head.device, head.interface,
+                             raw.field}) {
+        range.names.add(s);
+      }
+      range.high = std::max(range.high, head.utc);
+      range.keys.push_back(SortKey{
+          head.utc, static_cast<std::uint32_t>(head.source), head.router.id(),
+          head.device.id(), head.interface.id(), raw.field.id(),
+          static_cast<std::uint32_t>(i)});
+    }
+  });
+
   TextRanks ranks;
-  for (const RawRecord& raw : stream) {
-    NormalizedRecord& r = out.emplace_back();
-    if (!normalize(raw, r)) {
-      out.pop_back();
-      continue;
-    }
-    for (util::Symbol s : {r.router, r.device, r.interface, r.field}) {
-      ranks.add(s);
-    }
-    keys.push_back(SortKey{r.utc, static_cast<std::uint32_t>(r.source),
-                           r.router.id(), r.device.id(), r.interface.id(),
-                           r.field.id(),
-                           static_cast<std::uint32_t>(keys.size())});
+  std::size_t kept = 0;
+  for (const Range& range : ranges) {
+    for (util::Symbol s : range.names.symbols()) ranks.add(s);
+    kept += range.keys.size();
   }
   ranks.rank();
-  for (SortKey& k : keys) {
-    for (std::uint32_t* name : {&k.router, &k.device, &k.interface, &k.field}) {
-      *name = ranks[*name];
-    }
+  // A record's arrival lag is against the highest utc before it: the
+  // earlier ranges' and its own range's so far.
+  std::vector<util::TimeSec> high_before(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    high_before[w] = arrival_high_;
+    arrival_high_ = std::max(arrival_high_, ranges[w].high);
   }
   // normalized_order, so extraction does not depend on arrival order. The
-  // integer keys (a prefix of it) settle almost every comparison; only
-  // ties on them compare the records' remaining fields.
-  auto before = [&out](const SortKey& a, const SortKey& b) {
+  // integer keys (a prefix of it) settle almost every comparison; ties on
+  // them compare the fields normalization copies from the raw records.
+  auto before = [&stream](const SortKey& a, const SortKey& b) {
     if (auto c = std::tie(a.utc, a.source, a.router, a.device, a.interface,
                           a.field) <=> std::tie(b.utc, b.source, b.router,
                                                 b.device, b.interface,
@@ -266,27 +317,80 @@ std::vector<NormalizedRecord> Normalizer::normalize_stream(
         c != 0) {
       return c < 0;
     }
-    if (auto c = normalized_order(out[a.index], out[b.index]); c != 0) {
+    const RawRecord& x = stream[a.index];
+    const RawRecord& y = stream[b.index];
+    if (auto c = std::tie(x.body, x.value, x.attrs) <=>
+                 std::tie(y.body, y.value, y.attrs);
+        c != 0) {
       return c < 0;
     }
     return a.index < b.index;
   };
-  std::sort(keys.begin(), keys.end(), before);
-  // Apply the permutation in place, one cycle at a time: position i takes
-  // the record at keys[i].index. A visited position points at itself.
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (keys[i].index == i) continue;
-    NormalizedRecord held = std::move(out[i]);
-    std::size_t at = i;
-    for (std::size_t from = keys[at].index; from != i;
-         from = keys[at].index) {
-      out[at] = std::move(out[from]);
-      keys[at].index = static_cast<std::uint32_t>(at);
-      at = from;
+  // One more thread builds the output while the ranges sort.
+  util::fork_join(workers == 1 ? 1 : workers + 1, [&](unsigned w) {
+    if (w == workers || workers == 1) out.resize(kept);
+    if (w == workers) return;
+    Range& range = ranges[w];
+    util::TimeSec high = high_before[w];
+    for (SortKey& k : range.keys) {
+      if (feed_health_) {
+        high = std::max(high, k.utc);
+        range.health.record(static_cast<SourceType>(k.source), k.utc, high);
+      }
+      for (std::uint32_t* name :
+           {&k.router, &k.device, &k.interface, &k.field}) {
+        *name = ranks[*name];
+      }
     }
-    out[at] = std::move(held);
-    keys[at].index = static_cast<std::uint32_t>(at);
+    std::sort(range.keys.begin(), range.keys.end(), before);
+  });
+
+  // One merge of the sorted ranges gives the one-sort order (the order is
+  // total), as the stream index each output position takes. The head that
+  // comes first runs on while it stays before every other head.
+  std::vector<std::uint32_t> order;
+  order.reserve(kept);
+  {
+    std::vector<std::span<const SortKey>> runs;
+    for (const Range& range : ranges) {
+      if (!range.keys.empty()) runs.emplace_back(range.keys);
+    }
+    while (!runs.empty()) {
+      std::size_t first = 0;
+      for (std::size_t r = 1; r < runs.size(); ++r) {
+        if (before(runs[r].front(), runs[first].front())) first = r;
+      }
+      const SortKey* other = nullptr;  // the first of the other heads
+      for (std::size_t r = 0; r < runs.size(); ++r) {
+        if (r != first && (!other || before(runs[r].front(), *other))) {
+          other = &runs[r].front();
+        }
+      }
+      std::span<const SortKey>& run = runs[first];
+      do {
+        order.push_back(run.front().index);
+        run = run.subspan(1);
+      } while (!run.empty() && (!other || before(run.front(), *other)));
+      if (run.empty()) {
+        runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(first));
+      }
+    }
   }
+  obs::FeedHealthMonitor::Batch health;
+  for (Range& range : ranges) {
+    dropped_ += range.rejected;
+    health.merge(range.health);
+    range = Range();  // its keys are spent
+  }
+  if (feed_health_) feed_health_->add(health);
+
+  // Each worker normalizes a contiguous run of output positions.
+  util::fork_join(workers, [&](unsigned w) {
+    const std::size_t end = kept * (w + 1) / workers;
+    for (std::size_t j = kept * w / workers; j < end; ++j) {
+      normalize_impl(stream[order[j]], out[j], memos[w]);
+    }
+  });
   return out;
 }
 

@@ -47,9 +47,17 @@ class Normalizer {
   /// record references an unknown device.
   bool normalize(const telemetry::RawRecord& raw, NormalizedRecord& out) const;
 
-  /// Normalizes a stream, dropping unknown-device records.
+  /// Normalizes a stream, dropping unknown-device records, in
+  /// normalized_order. `workers` threads (0 means util::hardware_threads(),
+  /// at most one per kNormalizeBlockRecords records) each take a contiguous
+  /// range of the stream. The output, dropped() and what the feed-health
+  /// monitor reports are the same at any worker count; the monitor gets
+  /// the whole call's records at once.
   std::vector<NormalizedRecord> normalize_stream(
-      const telemetry::RecordStream& stream) const;
+      const telemetry::RecordStream& stream, unsigned workers = 0) const;
+
+  /// The fewest records a normalize_stream worker is given.
+  static constexpr std::size_t kNormalizeBlockRecords = 4096;
 
   std::size_t dropped() const noexcept { return dropped_; }
 
@@ -70,21 +78,26 @@ class Normalizer {
     bool seen = false;  // resolved already
   };
 
-  bool normalize_impl(const telemetry::RawRecord& raw,
-                      NormalizedRecord& out) const;
-  /// `name` under `convention`, memoized by symbol id.
-  const Resolved& resolve(Convention convention, util::Symbol name) const;
+  /// Per convention, indexed by the device name's symbol id.
+  using Memo = std::array<std::vector<Resolved>, kConventions>;
+
+  /// Normalizes `raw` into `out`; false for an unknown device (the caller
+  /// counts it).
+  bool normalize_impl(const telemetry::RawRecord& raw, NormalizedRecord& out,
+                      Memo& memo) const;
+  /// The part of normalize_impl that derives fields: sets only `out`'s
+  /// source, router, device, interface and utc.
+  bool locate(const telemetry::RawRecord& raw, NormalizedRecord& out,
+              Memo& memo) const;
+  /// `name` under `convention`, memoized in `memo`.
+  const Resolved& resolve(Memo& memo, Convention convention,
+                          util::Symbol name) const;
   Resolved lookup(Convention convention, std::string_view name) const;
-  /// Counts an unknown-device record; always false.
-  bool reject() const {
-    ++dropped_;
-    return false;
-  }
 
   const topology::Network& net_;
   util::StringMap<topology::Layer1DeviceId> l1_by_name_;
-  /// Per convention, indexed by the device name's symbol id.
-  mutable std::array<std::vector<Resolved>, kConventions> resolved_;
+  /// normalize()'s memo; each normalize_stream worker keeps its own.
+  mutable Memo resolved_;
   obs::FeedHealthMonitor* feed_health_ = nullptr;
   mutable std::size_t dropped_ = 0;
   /// Highest UTC seen so far: the arrival-time proxy for feed lag (records

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 
+#include "util/strings.h"
+
 namespace grca::core {
 
 namespace t = topology;
@@ -366,9 +368,12 @@ std::vector<Location> LocationMapper::project(const Location& loc,
     case LocationType::kLineCard: {
       auto r = net_.find_router(loc.a);
       if (!r) break;
-      int slot = std::stoi(loc.b);
+      // Like an unknown router, a slot that is not wholly a number
+      // projects to nothing.
+      auto slot = util::parse_number<int>(loc.b);
+      if (!slot) break;
       for (t::LineCardId c : net_.router(*r).line_cards) {
-        if (net_.line_card(c).slot != slot) continue;
+        if (net_.line_card(c).slot != *slot) continue;
         if (level == LocationType::kRouter) {
           push_unique(out, Location::router(loc.a));
         } else {

@@ -208,7 +208,8 @@ bool HttpParser::parse_head(const std::string& head) {
   if (auto it = current_.headers.find("content-length");
       it != current_.headers.end()) {
     try {
-      body_needed_ = std::stoul(it->second);
+      body_needed_ = util::to_number<std::size_t>(it->second,
+                                                  "content-length");
     } catch (const std::exception&) {
       fail(400);
       return false;

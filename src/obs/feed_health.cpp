@@ -18,6 +18,12 @@ namespace {
 const std::vector<double> kLagBounds = {1,   5,    30,   60,   300,
                                         900, 1800, 3600, 7200, 21600};
 
+/// How far behind `arrival_utc` a record of `event_utc` arrived; never
+/// negative.
+TimeSec lag_of(TimeSec event_utc, TimeSec arrival_utc) {
+  return std::max<TimeSec>(0, arrival_utc - event_utc);
+}
+
 std::string series(const char* name, SourceType source) {
   return prometheus_label(name, "source",
                           std::string(telemetry::to_string(source)));
@@ -77,7 +83,7 @@ void FeedHealthMonitor::on_record(SourceType source, TimeSec event_utc,
   ++f.records;
   ++total_records_;
   f.last_seen = std::max(f.last_seen, event_utc);
-  double lag = static_cast<double>(std::max<TimeSec>(0, arrival_utc - event_utc));
+  const auto lag = static_cast<double>(lag_of(event_utc, arrival_utc));
   f.lag_sum += lag;
   if (f.records_total) f.records_total->inc();
   if (f.last_seen_gauge) {
@@ -90,6 +96,61 @@ void FeedHealthMonitor::on_rejected(SourceType source) {
   Feed& f = feed(source);
   ++f.rejected;
   if (f.rejected_total) f.rejected_total->inc();
+}
+
+void FeedHealthMonitor::Batch::record(SourceType source, TimeSec event_utc,
+                                      TimeSec arrival_utc) {
+  Tally& t = sources_[static_cast<std::size_t>(source)];
+  ++t.records;
+  t.last_seen = std::max(t.last_seen, event_utc);
+  const TimeSec lag = lag_of(event_utc, arrival_utc);
+  t.lag_sum += lag;
+  if (t.lag_buckets.empty()) t.lag_buckets.assign(kLagBounds.size() + 1, 0);
+  ++t.lag_buckets[Histogram::bucket_of(kLagBounds, static_cast<double>(lag))];
+}
+
+void FeedHealthMonitor::Batch::reject(SourceType source) {
+  ++sources_[static_cast<std::size_t>(source)].rejected;
+}
+
+void FeedHealthMonitor::Batch::merge(const Batch& other) {
+  for (std::size_t i = 0; i < kSourceCount; ++i) {
+    Tally& t = sources_[i];
+    const Tally& o = other.sources_[i];
+    t.records += o.records;
+    t.rejected += o.rejected;
+    t.last_seen = std::max(t.last_seen, o.last_seen);
+    t.lag_sum += o.lag_sum;
+    if (o.lag_buckets.empty()) continue;
+    if (t.lag_buckets.empty()) t.lag_buckets.assign(o.lag_buckets.size(), 0);
+    for (std::size_t b = 0; b < o.lag_buckets.size(); ++b) {
+      t.lag_buckets[b] += o.lag_buckets[b];
+    }
+  }
+}
+
+void FeedHealthMonitor::add(const Batch& batch) {
+  for (std::size_t i = 0; i < kSourceCount; ++i) {
+    const Batch::Tally& t = batch.sources_[i];
+    if (t.records == 0 && t.rejected == 0) continue;
+    Feed& f = feed(static_cast<SourceType>(i));
+    if (t.rejected > 0) {
+      f.rejected += t.rejected;
+      if (f.rejected_total) f.rejected_total->inc(t.rejected);
+    }
+    if (t.records == 0) continue;
+    f.records += t.records;
+    total_records_ += t.records;
+    f.last_seen = std::max(f.last_seen, t.last_seen);
+    f.lag_sum += static_cast<double>(t.lag_sum);
+    if (f.records_total) f.records_total->inc(t.records);
+    if (f.last_seen_gauge) {
+      f.last_seen_gauge->set(static_cast<double>(f.last_seen));
+    }
+    if (f.lag_hist) {
+      f.lag_hist->add(t.lag_buckets, static_cast<double>(t.lag_sum));
+    }
+  }
 }
 
 void FeedHealthMonitor::on_late_drop(SourceType source) {

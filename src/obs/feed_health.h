@@ -19,12 +19,14 @@
 // (`grca_feed_*{source="..."}`) so the exporters pick it up, and exposed
 // as a Status struct for console output (streaming_monitor's health line).
 //
-// Threading contract: on_record/on_rejected/on_late_drop/observe_clock are
-// single-writer (the ingest thread); status() may be called from the same
-// thread at any time. The underlying registry metrics are atomic, so
-// concurrent exporters are safe.
+// Threading contract: on_record/on_rejected/on_late_drop/observe_clock/add
+// are single-writer (the ingest thread); status() may be called from the
+// same thread at any time. The underlying registry metrics are atomic, so
+// concurrent exporters are safe. A Batch is plain data: parallel ingest
+// keeps one per worker and adds them in order from one thread.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +52,33 @@ class FeedHealthMonitor {
 
   /// One record of `source` was rejected by the collector (unknown device).
   void on_rejected(telemetry::SourceType source);
+
+  /// The on_record/on_rejected tallies of a run of records, kept apart from
+  /// any monitor so that several can be summed on their own.
+  class Batch {
+   public:
+    void record(telemetry::SourceType source, util::TimeSec event_utc,
+                util::TimeSec arrival_utc);
+    void reject(telemetry::SourceType source);
+    /// Adds `other`'s tallies to this one.
+    void merge(const Batch& other);
+
+   private:
+    friend class FeedHealthMonitor;
+    struct Tally {
+      std::uint64_t records = 0;
+      std::uint64_t rejected = 0;
+      util::TimeSec last_seen = 0;
+      util::TimeSec lag_sum = 0;  // whole seconds, so any order sums exactly
+      std::vector<std::uint64_t> lag_buckets;  // empty until a record
+    };
+    std::array<Tally, kSourceCount> sources_;
+  };
+
+  /// Reports every record and rejection of `batch` at once, touching each
+  /// registry series once: the final status and series equal on_record and
+  /// on_rejected called for each in turn.
+  void add(const Batch& batch);
 
   /// One record of `source` arrived too late (behind the freeze horizon /
   /// skew bound) and was dropped.

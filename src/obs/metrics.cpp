@@ -38,14 +38,29 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
+std::size_t Histogram::bucket_of(const std::vector<double>& bounds,
+                                 double v) noexcept {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
 void Histogram::observe(double v) noexcept {
-  // First bound >= v; everything above the last bound lands in +Inf.
-  std::size_t bucket = static_cast<std::size_t>(
-      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
   Shard& s = shards_[detail::shard_index()];
-  s.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  s.buckets[bucket_of(bounds_, v)].fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
   s.sum.fetch_add(v, std::memory_order_relaxed);
+}
+
+void Histogram::add(const std::vector<std::uint64_t>& buckets,
+                    double sum) noexcept {
+  Shard& s = shards_[detail::shard_index()];
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < buckets.size() && i <= bounds_.size(); ++i) {
+    s.buckets[i].fetch_add(buckets[i], std::memory_order_relaxed);
+    count += buckets[i];
+  }
+  s.count.fetch_add(count, std::memory_order_relaxed);
+  s.sum.fetch_add(sum, std::memory_order_relaxed);
 }
 
 Histogram::Snapshot Histogram::snapshot() const {

@@ -109,6 +109,17 @@ class Histogram {
 
   void observe(double v) noexcept;
 
+  /// The bucket `v` falls in under `bounds`: the first bound >= v, or
+  /// bounds.size() (+Inf) above the last.
+  static std::size_t bucket_of(const std::vector<double>& bounds,
+                               double v) noexcept;
+
+  /// Adds observations made elsewhere in one step: `buckets[i]` more in
+  /// bucket i (one count per bucket, +Inf last) and `sum` to the sum. The
+  /// snapshot then equals observe() called once per observation whenever
+  /// their sum is exact (integer values, say).
+  void add(const std::vector<std::uint64_t>& buckets, double sum) noexcept;
+
   const std::vector<double>& bounds() const noexcept { return bounds_; }
 
   struct Snapshot {

@@ -8,7 +8,6 @@
 
 #include "obs/span.h"
 #include "storage/codec.h"
-#include "storage/crc32c.h"
 #include "util/error.h"
 
 namespace grca::storage {
@@ -269,8 +268,7 @@ void check_sealed(const SegmentReader& seg, VerifyReport& report,
   for (const V2Run& run : footer.runs) {
     std::string where =
         path.string() + " run '" + footer.names[run.name_id] + "'";
-    if (crc32c(bytes.data() + run.region_off, run.region_len()) !=
-        run.region_crc) {
+    if (!seg.region_intact(run)) {
       report.errors.push_back(where + ": column region checksum mismatch");
       continue;
     }

@@ -104,12 +104,16 @@ const V2Footer& SegmentReader::v2_footer() const {
   return v2_footer_;
 }
 
+bool SegmentReader::region_intact(const V2Run& run) const {
+  return crc32c(bytes_.data() + run.region_off, run.region_len()) ==
+         run.region_crc;
+}
+
 void SegmentReader::for_each_event(
     const std::function<void(core::EventInstance)>& sink) const {
   std::span<const std::uint8_t> bytes = bytes_;
   for (const V2Run& run : v2_footer().runs) {
-    if (crc32c(bytes.data() + run.region_off, run.region_len()) !=
-        run.region_crc) {
+    if (!region_intact(run)) {
       throw StorageError("storage: " + path_.string() + " run '" +
                          v2_footer_.names[run.name_id] +
                          "': column region checksum mismatch");

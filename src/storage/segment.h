@@ -61,6 +61,10 @@ class SegmentReader {
   std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
   std::uint64_t size() const noexcept { return bytes_.size(); }
 
+  /// True when the column region of `run`, one of this sealed segment's
+  /// footer runs, matches its CRC32C.
+  bool region_intact(const V2Run& run) const;
+
   /// Passes every event of a *sealed* segment to `sink` in stored order (a
   /// full columnar decode, each run's column region checked against its
   /// CRC32C first). Unlike a WAL's frames (read_wal), any damage throws

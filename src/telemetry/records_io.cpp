@@ -7,11 +7,15 @@
 #include <charconv>
 #include <cstring>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
+#include <shared_mutex>
 #include <sstream>
 #include <vector>
 
 #include "util/error.h"
+#include "util/fork_join.h"
 #include "util/strings.h"
 
 namespace grca::telemetry {
@@ -107,19 +111,195 @@ void parse_line(std::string_view line, RawRecord& r) {
   }
 }
 
-/// Bytes from the read position of `in` to its end; 0 when it cannot seek.
-std::size_t bytes_left(std::istream& in) {
+/// Calls f(line) for every line of `text`, without its newline; a last
+/// line with no newline counts, an empty remainder after the last newline
+/// does not.
+template <typename F>
+void for_each_line(std::string_view text, F&& f) {
+  while (!text.empty()) {
+    const std::size_t nl = text.find('\n');
+    f(text.substr(0, nl));
+    if (nl == std::string_view::npos) return;
+    text.remove_prefix(nl + 1);
+  }
+}
+
+bool is_record(std::string_view line) {
+  return !line.empty() && line[0] != '#';
+}
+
+/// A seekable input from its read position on: its bytes, and its records
+/// guessed from its first block's density, plus 10%.
+struct Extent {
+  std::size_t bytes = 0;
+  std::size_t records = 0;
+};
+
+/// The extent of `in`, whose read position is left where it was; nullopt
+/// when it cannot seek.
+std::optional<Extent> extent(std::istream& in) {
   const std::streampos at = in.tellg();
-  if (at == std::streampos(-1)) return 0;
+  if (at == std::streampos(-1)) return std::nullopt;
   in.seekg(0, std::ios::end);
   const std::streampos end = in.tellg();
   in.clear();
   in.seekg(at);
   if (!in || end == std::streampos(-1) || end < at) {
     in.clear();
-    return 0;
+    return std::nullopt;
   }
-  return static_cast<std::size_t>(end - at);
+  Extent e;
+  e.bytes = static_cast<std::size_t>(end - at);
+  std::vector<char> head(std::min(e.bytes, kReadBlockBytes));
+  in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  in.clear();
+  in.seekg(at);
+  std::string_view text(head.data(), static_cast<std::size_t>(in.gcount()));
+  if (text.size() < e.bytes) text = text.substr(0, text.rfind('\n') + 1);
+  std::size_t records = 0;
+  for_each_line(text,
+                [&](std::string_view line) { records += is_record(line); });
+  if (!text.empty()) {
+    const double per_byte =
+        static_cast<double>(records) / static_cast<double>(text.size());
+    e.records = static_cast<std::size_t>(
+                    1.1 * per_byte * static_cast<double>(e.bytes)) +
+                16;
+  }
+  return e;
+}
+
+/// A bad line: its 1-based number and the reason.
+struct BadLine {
+  std::size_t line = 0;
+  std::string what;
+};
+
+/// One worker's block: whole lines of the input, and where they go.
+struct Block {
+  std::vector<char> buf;  // the worker's buffer; [0, size) is the block
+  std::size_t size = 0;
+  std::size_t first_line = 0;  // lines of the input before this block
+  RawRecord* out = nullptr;    // its records' slots in the stream
+};
+
+/// Hands the input out in blocks, in file order, to the workers of one
+/// read_stream call, and sizes the one record vector they parse into.
+class BlockReader {
+ public:
+  BlockReader(std::istream& in, RecordStream& stream)
+      : in_(in), stream_(stream) {}
+
+  /// Fills `b` with the next block and sizes the stream for its records;
+  /// false once the input is spent or a line has failed. `parsing` holds
+  /// the stream's storage in place until the caller has parsed the block.
+  bool claim(Block& b, std::shared_lock<std::shared_mutex>& parsing) {
+    std::lock_guard lock(mu_);
+    if (stop_) return false;
+    if (!fill(b)) return false;
+    std::size_t lines = 0;
+    std::size_t records = 0;
+    for_each_line(std::string_view(b.buf.data(), b.size),
+                  [&](std::string_view line) {
+                    ++lines;
+                    records += is_record(line);
+                  });
+    b.first_line = lines_;
+    lines_ += lines;
+    const std::size_t first = stream_.size();
+    const std::size_t total = first + records;
+    if (total > stream_.capacity()) {
+      // Moving the records must wait for every block being parsed.
+      std::unique_lock grow(storage_mu_);
+      stream_.reserve(std::max(total, 2 * stream_.capacity()));
+    }
+    parsing = std::shared_lock(storage_mu_);
+    stream_.resize(total);
+    b.out = stream_.data() + first;
+    return true;
+  }
+
+  /// Records a bad line; no block is claimed after this, and the earliest
+  /// bad line in file order is kept.
+  void fail(BadLine bad) {
+    std::lock_guard lock(mu_);
+    stop_ = true;
+    if (!error_ || bad.line < error_->line) error_ = std::move(bad);
+  }
+
+  /// Stops handing out blocks (a worker failed otherwise).
+  void stop() {
+    std::lock_guard lock(mu_);
+    stop_ = true;
+  }
+
+  /// Throws the earliest failure, as the serial reader would have.
+  void rethrow() const {
+    if (error_) {
+      throw ParseError("line " + std::to_string(error_->line) + ": " +
+                       error_->what);
+    }
+  }
+
+ private:
+  /// Reads the cut line carried from the last block, then input up to the
+  /// buffer's size, into `b`, and cuts it after its last newline; a line
+  /// longer than the buffer grows it. False when nothing is left.
+  bool fill(Block& b) {
+    b.buf.resize(std::max(kReadBlockBytes, 2 * carry_.size()));
+    std::size_t have = carry_.size();
+    std::memcpy(b.buf.data(), carry_.data(), have);
+    carry_.clear();
+    while (true) {
+      if (!eof_) {
+        in_.read(b.buf.data() + have,
+                 static_cast<std::streamsize>(b.buf.size() - have));
+        const auto got = static_cast<std::size_t>(in_.gcount());
+        eof_ = have + got < b.buf.size();
+        have += got;
+      }
+      const auto nl = std::string_view(b.buf.data(), have).rfind('\n');
+      if (eof_) {
+        b.size = have;  // the last line needs no newline
+        break;
+      }
+      if (nl != std::string_view::npos) {
+        b.size = nl + 1;
+        carry_.assign(b.buf.data() + b.size, b.buf.data() + have);
+        break;
+      }
+      b.buf.resize(2 * b.buf.size());
+    }
+    return b.size > 0;
+  }
+
+  std::mutex mu_;  // guards everything below but storage_mu_
+  std::istream& in_;
+  bool eof_ = false;
+  std::size_t lines_ = 0;    // lines handed out
+  std::string carry_;        // a line cut by the last block's end
+  bool stop_ = false;
+  std::optional<BadLine> error_;
+  RecordStream& stream_;
+  /// Shared by every worker parsing into the stream; unique while it
+  /// reallocates.
+  std::shared_mutex storage_mu_;
+};
+
+/// Parses the lines of `b` into its slots, up to the first bad one.
+std::optional<BadLine> parse_block(const Block& b) {
+  std::size_t line_no = b.first_line;
+  RawRecord* r = b.out;
+  try {
+    for_each_line(std::string_view(b.buf.data(), b.size),
+                  [&](std::string_view line) {
+                    ++line_no;
+                    if (is_record(line)) parse_line(line, *r++);
+                  });
+  } catch (const ParseError& e) {
+    return BadLine{line_no, e.what()};
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -162,54 +342,39 @@ void write_stream(std::ostream& out, const RecordStream& stream) {
   for (const RawRecord& r : stream) out << to_tsv(r) << '\n';
 }
 
-RecordStream read_stream(std::istream& in) {
+RecordStream read_stream(std::istream& in, unsigned workers) {
+  if (workers == 0) workers = util::hardware_threads();
   RecordStream stream;
-  std::size_t line_no = 0;
-  auto consume = [&](std::string_view line) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') return;
-    RawRecord& r = stream.emplace_back();
-    try {
-      parse_line(line, r);
-    } catch (const ParseError& e) {
-      throw ParseError("line " + std::to_string(line_no) + ": " + e.what());
-    }
-  };
-  // Fixed-size blocks; a line cut by the block end moves to the front of
-  // the buffer and is completed by the next read. A line longer than the
-  // buffer grows it.
-  std::vector<char> buf(kReadBlockBytes);
-  std::size_t have = 0;
-  // Growing the stream moves every record it holds, so after the first
-  // block it is reserved for the whole input at that block's density, with
-  // headroom (capacity never written to stays out of RSS).
-  const std::size_t input_bytes = bytes_left(in);
-  bool reserved = false;
-  while (true) {
-    if (have == buf.size()) buf.resize(buf.size() * 2);
-    in.read(buf.data() + have,
-            static_cast<std::streamsize>(buf.size() - have));
-    const auto got = static_cast<std::size_t>(in.gcount());
-    if (got == 0) break;
-    std::string_view text(buf.data(), have + got);
-    std::size_t begin = 0;
-    for (std::size_t nl; (nl = text.find('\n', begin)) != text.npos;
-         begin = nl + 1) {
-      consume(text.substr(begin, nl - begin));
-    }
-    have = text.size() - begin;
-    std::memmove(buf.data(), buf.data() + begin, have);
-    if (!reserved && begin > 0) {
-      reserved = true;
-      const double per_byte =
-          static_cast<double>(stream.size()) / static_cast<double>(begin);
-      stream.reserve(
-          static_cast<std::size_t>(1.1 * per_byte *
-                                   static_cast<double>(input_bytes)) +
-          16);
-    }
+  if (const std::optional<Extent> input = extent(in)) {
+    // Each worker gets at least one block. The stream is sized here, so
+    // its storage comes from the calling thread's heap and is moved only
+    // when the guess falls short.
+    const std::size_t blocks = std::max<std::size_t>(
+        1, (input->bytes + kReadBlockBytes - 1) / kReadBlockBytes);
+    workers = static_cast<unsigned>(std::min<std::size_t>(workers, blocks));
+    stream.reserve(input->records);
   }
-  if (have > 0) consume(std::string_view(buf.data(), have));
+  BlockReader reader(in, stream);
+  util::fork_join(workers, [&reader](unsigned) {
+    try {
+      Block block;
+      while (true) {
+        std::optional<BadLine> bad;
+        {
+          std::shared_lock<std::shared_mutex> parsing;
+          if (!reader.claim(block, parsing)) return;
+          bad = parse_block(block);
+        }
+        // Reported with the storage released: a claim that reallocates
+        // holds the reader's lock while it waits for that.
+        if (bad) reader.fail(std::move(*bad));
+      }
+    } catch (...) {
+      reader.stop();
+      throw;
+    }
+  });
+  reader.rethrow();
   return stream;
 }
 

@@ -27,15 +27,20 @@ RawRecord from_tsv(const std::string& line);
 /// Writes a stream with a header comment.
 void write_stream(std::ostream& out, const RecordStream& stream);
 
-/// Bytes read_stream asks of its input per read (more while one line is
-/// longer than that).
+/// Bytes of one read_stream block (more while one line is longer than
+/// that).
 inline constexpr std::size_t kReadBlockBytes = 64 * 1024;
 
-/// Reads a stream (skips empty lines and comment lines starting with '#')
-/// in blocks of kReadBlockBytes, so the input is never held whole. The
-/// last line needs no newline. A malformed line throws grca::ParseError
-/// naming its 1-based line number and the reason.
-RecordStream read_stream(std::istream& in);
+/// Reads a stream (skips empty lines and comment lines starting with '#').
+/// The input is cut at newlines into blocks of kReadBlockBytes, read in
+/// file order and parsed by `workers` threads (0 means
+/// util::hardware_threads(); a seekable input gets at least one block per
+/// worker), each block straight into its records' slots of the result. The
+/// input is never held whole: at most one block per worker is in memory.
+/// Records come out in file order at any worker count. The last line needs
+/// no newline. A malformed line throws grca::ParseError naming its 1-based
+/// line number and the reason; with several, the first in file order.
+RecordStream read_stream(std::istream& in, unsigned workers = 0);
 
 std::string_view source_name(SourceType type) noexcept;
 SourceType parse_source(std::string_view name);

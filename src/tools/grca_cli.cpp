@@ -111,7 +111,9 @@
 //       summaries (sequence, events, names, watermark, bytes; for sealed
 //       segments also dictionary and zone-map sizes plus per-name run
 //       summaries: rows, blocks, start range, column-region bytes; a WAL
-//       torn inside its header is reported as a torn tail).
+//       torn inside its header is reported as a torn tail). It checks each
+//       run's column-region CRC and exits nonzero naming every run that
+//       fails, after listing every segment.
 //       `verify` runs the full integrity sweep — header/footer/WAL-frame
 //       CRCs, column-region CRCs, full structural decode — and exits
 //       nonzero on any corruption; `--deep` additionally recomputes footer
@@ -850,6 +852,7 @@ int cmd_store(const std::string& action, const Args& args) {
       return 1;
     }
     std::uint64_t total_events = 0;
+    std::vector<std::string> damaged;  // runs whose column region fails
     auto print_frames = [&total_events](const storage::WalRead& live) {
       total_events += live.events.size();
       std::cout << "live WAL: " << live.events.size() << " valid frames";
@@ -888,11 +891,23 @@ int cmd_store(const std::string& action, const Args& args) {
           std::cout << ", max duration " << run.max_duration << ", "
                     << run.region_len() << " bytes (starts " << run.starts_len
                     << ", durations " << run.durs_len << ", locations "
-                    << run.locs_len << ", attrs " << run.attrs_len << ")\n";
+                    << run.locs_len << ", attrs " << run.attrs_len << ")";
+          if (!seg.region_intact(run)) {
+            std::cout << ", column region checksum mismatch";
+            damaged.push_back(path.string() + " run '" +
+                              footer.names[run.name_id] +
+                              "': column region checksum mismatch");
+          }
+          std::cout << "\n";
         }
       } else {
         print_frames(storage::read_wal(path));
       }
+    }
+    // A sealed run whose events cannot be read fails the command, after
+    // every segment is listed.
+    for (const std::string& error : damaged) {
+      std::cerr << "error: " << error << "\n";
     }
     // The WAL comes last, after every sealed segment is listed. A header
     // torn by a crash inside a seal's reset is a recoverable torn tail, as
@@ -912,7 +927,7 @@ int cmd_store(const std::string& action, const Args& args) {
     }
     std::cout << "total: " << total_events << " events in "
               << segments.size() + (wal.present() ? 1 : 0) << " file(s)\n";
-    return 0;
+    return damaged.empty() ? 0 : 1;
   }
   usage("unknown store action '" + action + "'");
 }

@@ -2,12 +2,12 @@
 // SPDX-License-Identifier: MIT
 //
 // The one parallel construct of the batch path: a fork-join over a fixed
-// number of workers, used by RcaEngine::diagnose_all. Per-symptom diagnosis
-// is embarrassingly parallel and its workers share no mutable state of
-// their own, so there is no task queue or pool to keep alive between
-// calls: the threads live exactly as long as one call. The streaming
-// engine and the feed replayer use none; they run on their caller's
-// thread.
+// number of workers, used by RcaEngine::diagnose_all, telemetry::read_stream
+// and Normalizer::normalize_stream. Each call's workers split one job and
+// share no mutable state they do not synchronize themselves, so there is no
+// task queue or pool to keep alive between calls: the threads live exactly
+// as long as one call. The streaming engine and the feed replayer use none;
+// they run on their caller's thread.
 #pragma once
 
 #include <functional>

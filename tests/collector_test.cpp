@@ -18,6 +18,8 @@
 #include "collector/normalizer.h"
 #include "collector/record_index.h"
 #include "collector/routing_rebuild.h"
+#include "obs/feed_health.h"
+#include "obs/metrics.h"
 #include "simulation/emitter.h"
 #include "simulation/scenario.h"
 #include "topology/topo_gen.h"
@@ -322,6 +324,159 @@ TEST(Normalizer, MatchesStringOracle) {
   EXPECT_GT(batch.dropped(), 0u);
   ASSERT_EQ(got.size(), want.size());
   EXPECT_TRUE(got == want);
+}
+
+/// A stream of every normalized source and of unknown devices, long enough
+/// for four normalize workers, whose records arrive out of order.
+telemetry::RecordStream mixed_arrivals(const t::Network& net,
+                                       std::uint32_t seed) {
+  sim::TelemetryEmitter emitter(net);
+  std::mt19937 rng(seed);
+  const util::TimeSec start = util::make_utc(2010, 1, 10, 0, 0, 0);
+  const std::size_t want = 4 * Normalizer::kNormalizeBlockRecords + 1000;
+  for (std::size_t i = 0; i < want; ++i) {
+    const util::TimeSec at = start + static_cast<util::TimeSec>(i) * 7;
+    const t::Router& router = net.routers()[rng() % net.routers().size()];
+    switch (rng() % 6) {
+      case 0:
+        emitter.syslog(router.id, at, "%SYS-5-RESTART: " +
+                                          std::to_string(rng() % 3));
+        break;
+      case 1:
+        emitter.snmp_interface(
+            net.interfaces()[rng() % net.interfaces().size()].id, at,
+            "ifutil", static_cast<double>(rng() % 100));
+        break;
+      case 2:
+        emitter.layer1(
+            net.layer1_devices()[rng() % net.layer1_devices().size()].id, at,
+            "restored circuit " + std::to_string(rng() % 5));
+        break;
+      case 3:
+        emitter.tacacs(router.id, at, "u" + std::to_string(rng() % 3),
+                       "show version");
+        break;
+      case 4:
+        emitter.ospfmon(net.links()[rng() % net.links().size()].id, at,
+                        static_cast<int>(rng() % 50));
+        break;
+      default:
+        emitter.workflow(router.id, at, "maintenance");
+        break;
+    }
+  }
+  telemetry::RecordStream stream = emitter.take();
+  // Unknown devices, rejected per source.
+  for (std::size_t i = 0; i < stream.size(); i += 97) {
+    stream[i].device = util::Symbol(i % 2 ? "ghost-router" : "GHOST-ROUTER");
+  }
+  // Late arrivals: a record lands up to 40 records (~5 min) behind, and
+  // now and then a whole day behind, so the lags span every bucket.
+  for (std::size_t i = 0; i + 40 < stream.size(); ++i) {
+    std::swap(stream[i], stream[i + rng() % 40]);
+    if (rng() % 500 == 0) stream[i].timestamp -= util::kDay;
+  }
+  return stream;
+}
+
+/// What a normalize run reports besides its records.
+struct Reported {
+  std::size_t dropped = 0;
+  std::vector<std::tuple<SourceType, std::uint64_t, std::uint64_t,
+                         util::TimeSec, double>>
+      feeds;  // source, records, rejected, last seen, mean lag
+  obs::MetricsRegistry::Snapshot metrics;
+};
+
+void expect_same_metrics(const obs::MetricsRegistry::Snapshot& a,
+                         const obs::MetricsRegistry::Snapshot& b) {
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.gauges, b.gauges);
+  ASSERT_EQ(a.histograms.size(), b.histograms.size());
+  for (const auto& [name, h] : a.histograms) {
+    ASSERT_EQ(b.histograms.count(name), 1u) << name;
+    const auto& g = b.histograms.at(name);
+    EXPECT_EQ(h.bounds, g.bounds) << name;
+    EXPECT_EQ(h.data.buckets, g.data.buckets) << name;
+    EXPECT_EQ(h.data.count, g.data.count) << name;
+    EXPECT_EQ(h.data.sum, g.data.sum) << name;
+  }
+}
+
+Reported reported(const Normalizer& norm, const obs::FeedHealthMonitor& health,
+                  const obs::MetricsRegistry& registry) {
+  Reported out;
+  out.dropped = norm.dropped();
+  for (const auto& s : health.status()) {
+    out.feeds.emplace_back(s.source, s.records, s.rejected, s.last_seen,
+                           s.mean_lag);
+  }
+  out.metrics = registry.snapshot();
+  return out;
+}
+
+TEST(Normalizer, StreamSameAtEveryWorkerCount) {
+  t::Network net = small_net();
+  const telemetry::RecordStream stream = mixed_arrivals(net, 11);
+
+  // Today's reference: one record at a time, in arrival order.
+  obs::MetricsRegistry one_registry;
+  obs::FeedHealthMonitor one_health(&one_registry);
+  Normalizer one_by_one(net, &one_health);
+  std::vector<NormalizedRecord> want;
+  for (const RawRecord& raw : stream) {
+    NormalizedRecord r;
+    if (one_by_one.normalize(raw, r)) want.push_back(r);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [](const NormalizedRecord& a, const NormalizedRecord& b) {
+                     return normalized_order(a, b) < 0;
+                   });
+  const Reported want_reported =
+      reported(one_by_one, one_health, one_registry);
+  ASSERT_GT(want_reported.dropped, 0u);
+
+  for (unsigned workers : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    obs::MetricsRegistry registry;
+    obs::FeedHealthMonitor health(&registry);
+    Normalizer norm(net, &health);
+    std::vector<NormalizedRecord> got = norm.normalize_stream(stream, workers);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(render(got[i]), render(want[i])) << i;
+      ASSERT_TRUE(normalized_order(got[i], want[i]) == 0) << i;
+    }
+    const Reported r = reported(norm, health, registry);
+    EXPECT_EQ(r.dropped, want_reported.dropped);
+    EXPECT_EQ(r.feeds, want_reported.feeds);
+    expect_same_metrics(r.metrics, want_reported.metrics);
+  }
+}
+
+TEST(Normalizer, StreamArrivalHighWaterSpansCalls) {
+  // The lag high-water mark carries from one call to the next, as it does
+  // from one record to the next.
+  t::Network net = small_net();
+  const telemetry::RecordStream stream = mixed_arrivals(net, 12);
+  const std::size_t half = stream.size() / 2;
+  const telemetry::RecordStream first(stream.begin(),
+                                      stream.begin() + half);
+  const telemetry::RecordStream second(stream.begin() + half, stream.end());
+  obs::MetricsRegistry whole_registry;
+  obs::FeedHealthMonitor whole_health(&whole_registry);
+  Normalizer whole(net, &whole_health);
+  whole.normalize_stream(stream, 4);
+  obs::MetricsRegistry split_registry;
+  obs::FeedHealthMonitor split_health(&split_registry);
+  Normalizer split(net, &split_health);
+  split.normalize_stream(first, 4);
+  split.normalize_stream(second, 2);
+  const Reported a = reported(whole, whole_health, whole_registry);
+  const Reported b = reported(split, split_health, split_registry);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.feeds, b.feeds);
+  expect_same_metrics(a.metrics, b.metrics);
 }
 
 TEST(Normalizer, ReusedOutputRecordIsOverwritten) {

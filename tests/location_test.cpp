@@ -262,6 +262,26 @@ TEST(Mapper, RouterPathDegradesToRouterForElements) {
   EXPECT_EQ(out[0], Location::router("nyc-cr1"));
 }
 
+TEST(Mapper, LineCardSlotParsesInFull) {
+  MapperFixture f;
+  const t::Router& router = f.net.routers()[0];
+  ASSERT_FALSE(router.line_cards.empty());
+  const t::LineCard& card = f.net.line_card(router.line_cards[0]);
+  const std::string slot = std::to_string(card.slot);
+  auto project = [&](const std::string& slot_text) {
+    Location loc = Location::line_card(router.name, card.slot);
+    loc.b = slot_text;
+    return f.mapper.project(loc, LocationType::kRouter, 0);
+  };
+  ASSERT_EQ(project(slot).size(), 1u);
+  EXPECT_EQ(project(slot)[0], Location::router(router.name));
+  // Not wholly a number: nothing, as for an unknown router.
+  for (const std::string& bad : {slot + "x", std::string("x"),
+                                 std::string(""), " " + slot}) {
+    EXPECT_TRUE(project(bad).empty()) << "slot '" << bad << "'";
+  }
+}
+
 TEST(Mapper, UnknownNamesProjectEmpty) {
   MapperFixture f;
   EXPECT_TRUE(f.mapper

@@ -94,6 +94,18 @@ TEST(HttpParser, BodyViaContentLength) {
   EXPECT_EQ(parser.next().path, "/next");  // no bleed into the next request
 }
 
+TEST(HttpParser, ContentLengthParsesInFull) {
+  for (const char* length : {"12x", "x", "-1", " ", "5 5", "+5"}) {
+    HttpParser parser;
+    std::string raw = "POST /ingest HTTP/1.1\r\nContent-Length: " +
+                      std::string(length) + "\r\n\r\nhello world!";
+    EXPECT_FALSE(parser.feed(raw.data(), raw.size())) << length;
+    EXPECT_TRUE(parser.errored()) << length;
+    EXPECT_EQ(parser.error_status(), 400) << length;
+    EXPECT_FALSE(parser.has_request()) << length;
+  }
+}
+
 TEST(HttpParser, OversizedHeadersRejectedWith431) {
   HttpParser parser;
   std::string raw = "GET / HTTP/1.1\r\nX-Big: ";

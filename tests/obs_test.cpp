@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -65,6 +66,25 @@ TEST(Metrics, HistogramBucketsAreInclusiveUpperBounds) {
   EXPECT_EQ(snap.buckets[3], 1u);
   EXPECT_EQ(snap.count, 5u);
   EXPECT_DOUBLE_EQ(snap.sum, 0.5 + 1.0 + 3.0 + 10.0 + 99.0);
+}
+
+TEST(Metrics, HistogramAddEqualsObserves) {
+  MetricsRegistry registry;
+  Histogram& one = registry.histogram("one_by_one", {1.0, 5.0, 10.0});
+  Histogram& bulk = registry.histogram("in_bulk", {1.0, 5.0, 10.0});
+  std::vector<std::uint64_t> buckets(4, 0);
+  double sum = 0;
+  for (double v : {0.0, 1.0, 3.0, 5.0, 7.0, 10.0, 11.0, 99.0, 2.0}) {
+    one.observe(v);
+    ++buckets[Histogram::bucket_of(one.bounds(), v)];
+    sum += v;
+  }
+  bulk.add(buckets, sum);
+  const Histogram::Snapshot a = one.snapshot();
+  const Histogram::Snapshot b = bulk.snapshot();
+  EXPECT_EQ(a.buckets, b.buckets);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
 }
 
 TEST(Metrics, HistogramBucketCountsSumToCountUnderConcurrency) {
@@ -531,6 +551,57 @@ TEST(FeedHealth, GapAndSilenceAgainstCadence) {
   // Event-driven feeds alarm much more slowly than pollers.
   EXPECT_GT(FeedHealthMonitor::expected_cadence(SourceType::kBgpMon),
             FeedHealthMonitor::expected_cadence(SourceType::kSnmp));
+}
+
+TEST(FeedHealth, BatchesEqualPerRecordCalls) {
+  // Records and rejections split over three batches, merged in order and
+  // added at once, report what the per-record calls report.
+  MetricsRegistry one_registry;
+  FeedHealthMonitor one(&one_registry);
+  MetricsRegistry batch_registry;
+  FeedHealthMonitor batched(&batch_registry);
+  std::vector<FeedHealthMonitor::Batch> batches(3);
+  util::TimeSec high = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const auto source = static_cast<SourceType>((i * 7) % 10);
+    FeedHealthMonitor::Batch& batch = batches[static_cast<std::size_t>(i) /
+                                              1000];
+    if (i % 13 == 0) {
+      one.on_rejected(source);
+      batch.reject(source);
+      continue;
+    }
+    // Out of order: some records land hours behind the high-water mark.
+    const util::TimeSec utc = 1000 + i * 10 - (i % 17 == 0 ? 20000 : i % 5);
+    high = std::max(high, utc);
+    one.on_record(source, utc, high);
+    batch.record(source, utc, high);
+  }
+  FeedHealthMonitor::Batch all;
+  for (const FeedHealthMonitor::Batch& b : batches) all.merge(b);
+  batched.add(all);
+
+  const auto want = one.status();
+  const auto got = batched.status();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].source, want[i].source);
+    EXPECT_EQ(got[i].records, want[i].records);
+    EXPECT_EQ(got[i].rejected, want[i].rejected);
+    EXPECT_EQ(got[i].last_seen, want[i].last_seen);
+    EXPECT_EQ(got[i].mean_lag, want[i].mean_lag);
+  }
+  EXPECT_EQ(batched.total_records(), one.total_records());
+  const MetricsRegistry::Snapshot a = one_registry.snapshot();
+  const MetricsRegistry::Snapshot b = batch_registry.snapshot();
+  EXPECT_EQ(a.counters, b.counters);
+  EXPECT_EQ(a.gauges, b.gauges);
+  ASSERT_EQ(a.histograms.size(), b.histograms.size());
+  for (const auto& [name, h] : a.histograms) {
+    EXPECT_EQ(h.data.buckets, b.histograms.at(name).data.buckets) << name;
+    EXPECT_EQ(h.data.count, b.histograms.at(name).data.count) << name;
+    EXPECT_EQ(h.data.sum, b.histograms.at(name).data.sum) << name;
+  }
 }
 
 TEST(FeedHealth, NullRegistryStillTracksStatus) {

@@ -3,7 +3,8 @@
 # re-extraction from the raw corpus, across a process boundary and through
 # compaction, a WAL torn inside its header must stay recoverable, a WAL
 # whose full-length header is damaged must be listed after every sealed
-# segment and refused, and a corrupted segment must fail verification.
+# segment and refused, and a corrupted segment must fail verification and
+# inspection.
 #   cmake -DGRCA=path/to/grca -DPYTHON=path/to/python3 -DWORK=scratch/dir
 #         -P storage_smoke.cmake
 # WORK is emptied first and left behind for inspection.
@@ -137,6 +138,38 @@ run_grca(out store verify --dir stream-log --deep)
 run_grca(out diagnose --study bgp --data store-data --store stream-log)
 expect_fresh(compacted "${out}")
 
+# A column region that fails its CRC fails inspection as well as
+# verification. The first run's region starts right after the 24-byte
+# segment header with an 8-byte start value, so byte 28 is inside it.
+file(COPY "${WORK}/store-log/" DESTINATION "${WORK}/region-log")
+file(GLOB region_segments "${WORK}/region-log/seg-*.grseg")
+list(SORT region_segments)
+list(GET region_segments 0 region_segment)
+get_filename_component(region_name "${region_segment}" NAME)
+execute_process(
+  COMMAND "${PYTHON}" -c
+          "import sys; p = sys.argv[1]; d = bytearray(open(p, 'rb').read()); d[28] ^= 0x01; open(p, 'wb').write(bytes(d))"
+          "${region_segment}"
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not corrupt ${region_segment}")
+endif()
+execute_process(COMMAND "${GRCA}" store inspect --dir region-log
+                WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR
+   NOT err MATCHES "${region_name} run '[^']+': column region checksum"
+   OR NOT out MATCHES "(^|\n)${region_name}: seq ")
+  message(FATAL_ERROR "store inspect did not list ${region_name} and fail "
+                      "naming its damaged run (exit ${rc}):\n${out}\n${err}")
+endif()
+execute_process(COMMAND "${GRCA}" store verify --dir region-log
+                WORKING_DIRECTORY "${WORK}" RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_QUIET)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "store verify accepted a damaged column region")
+endif()
+
 # A corrupted segment fails verification: flip one bit mid-file.
 file(GLOB segments "${WORK}/store-log/seg-*.grseg")
 list(SORT segments)
@@ -155,3 +188,4 @@ execute_process(COMMAND "${GRCA}" store verify --dir store-log
 if(rc EQUAL 0)
   message(FATAL_ERROR "store verify accepted a corrupt segment ${segment}")
 endif()
+

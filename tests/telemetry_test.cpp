@@ -281,6 +281,120 @@ TEST(RecordsIo, ReadStreamErrorNamesLine) {
   }
 }
 
+/// A stream buffer over a string that cannot seek, as a pipe cannot.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string text) : text_(std::move(text)) {
+    setg(text_.data(), text_.data(), text_.data() + text_.size());
+  }
+
+ private:
+  std::string text_;
+};
+
+/// Seeded text of several blocks: escaped fields, comment and empty lines,
+/// one line longer than a block, and no final newline.
+std::string seeded_records_text(std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::string text = "# header\n";
+  int i = 0;
+  auto add_record = [&](std::size_t body_len) {
+    RawRecord r = sample_record();
+    r.timestamp += i;
+    r.true_utc += i;
+    r.value = (i % 7) * 0.25;
+    r.device = "dev-" + std::to_string(rng() % 50) + (i % 11 ? "" : "\tx");
+    r.body = std::string(body_len, static_cast<char>('a' + i % 26));
+    if (i % 5 == 0) r.body += "\\ and\ttab\nnewline";
+    r.attrs = {{"i", std::to_string(i)},
+               {"k\tey", "v\\" + std::to_string(rng() % 9)}};
+    text += to_tsv(r);
+    text += '\n';
+    ++i;
+  };
+  while (text.size() < 5 * kReadBlockBytes) {
+    add_record(rng() % 300);
+    switch (rng() % 40) {
+      case 0: text += "# comment\n"; break;
+      case 1: text += "\n"; break;
+      default: break;
+    }
+    if (i == 700) add_record(kReadBlockBytes + 5000);
+  }
+  while (text.back() == '\n') text.pop_back();
+  return text;
+}
+
+/// The records of `text`, one line at a time.
+RecordStream line_by_line(const std::string& text) {
+  RecordStream out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.empty() && line[0] != '#') out.push_back(from_tsv(line));
+  }
+  return out;
+}
+
+TEST(RecordsIo, ReadStreamSameAtEveryWorkerCount) {
+  for (std::uint32_t seed : {1u, 2u}) {
+    const std::string text = seeded_records_text(seed);
+    ASSERT_NE(text.back(), '\n');
+    const RecordStream want = line_by_line(text);
+    for (unsigned workers : {1u, 2u, 3u, 4u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", workers " +
+                   std::to_string(workers));
+      std::istringstream seekable(text);
+      PipeBuf pipe_buf(text);
+      std::istream pipe(&pipe_buf);
+      ASSERT_EQ(pipe.tellg(), std::streampos(-1));
+      for (std::istream* in : {static_cast<std::istream*>(&seekable), &pipe}) {
+        const RecordStream got = read_stream(*in, workers);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t k = 0; k < got.size(); ++k) {
+          expect_same(got[k], want[k]);
+        }
+      }
+    }
+  }
+}
+
+TEST(RecordsIo, ReadStreamNamesFirstBadLineAtEveryWorkerCount) {
+  // Two bad lines in neighbouring blocks: one near the end of its block,
+  // one near the start of the next, so the later one is usually met first
+  // when blocks parse side by side. The error names the earlier one.
+  std::string text = "# header\n";
+  std::size_t line = 1;
+  std::size_t first_bad = 0;
+  bool second_bad = false;
+  while (text.size() < 6 * kReadBlockBytes) {
+    ++line;
+    if (first_bad == 0 && text.size() > 3 * kReadBlockBytes - 200) {
+      first_bad = line;
+      text += line_with("1", "5x", "1") + "\n";
+    } else if (!second_bad && text.size() > 3 * kReadBlockBytes + 200) {
+      second_bad = true;
+      text += line_with("1", "5", "1") + "\tthe\textra\tfields\n";
+    } else {
+      text += line_with(std::to_string(line), "5", "1") + "\n";
+    }
+  }
+  for (unsigned workers : {1u, 2u, 3u, 4u}) {
+    PipeBuf pipe_buf(text);
+    std::istream pipe(&pipe_buf);
+    std::istringstream seekable(text);
+    for (std::istream* in : {static_cast<std::istream*>(&seekable), &pipe}) {
+      try {
+        read_stream(*in, workers);
+        FAIL() << "expected ParseError at " << workers << " workers";
+      } catch (const ParseError& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "line " + std::to_string(first_bad) + ": bad value '5x'")
+            << workers << " workers";
+      }
+    }
+  }
+}
+
 TEST(RecordsIo, SourceNamesRoundTrip) {
   for (int i = 0; i <= static_cast<int>(SourceType::kWorkflowLog); ++i) {
     auto type = static_cast<SourceType>(i);

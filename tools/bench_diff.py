@@ -18,6 +18,11 @@ Usage:
 
 Exits nonzero listing every regressed metric; always writes the merged
 report (fresh + baseline + verdicts per file) for the CI artifact trail.
+
+Reports and baselines carry "hardware_threads", the core count they were
+measured on. Timings of parallel code depend on it, so a count that differs
+from the baseline's is printed as a warning (never a failure): read that
+file's rate verdicts with it in mind.
 """
 
 import argparse
@@ -78,6 +83,17 @@ def compare(name, fresh, baseline, tolerance):
     return regressions
 
 
+def core_count_warning(name, fresh, baseline):
+    """A warning when fresh and baseline were measured on different core
+    counts; None when they agree or either does not say."""
+    fresh_cores = fresh.get("hardware_threads")
+    base_cores = baseline.get("hardware_threads")
+    if fresh_cores is None or base_cores is None or fresh_cores == base_cores:
+        return None
+    return (f"{name}: measured on {fresh_cores} hardware threads, "
+            f"baseline on {base_cores}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh", nargs="+", help="fresh bench JSON reports")
@@ -106,6 +122,10 @@ def main():
             entry["regressions"] = compare(name, fresh, baseline,
                                            args.tolerance)
             regressions.extend(entry["regressions"])
+            warning = core_count_warning(name, fresh, baseline)
+            if warning:
+                entry["warning"] = warning
+                print(f"warning: {warning}")
         else:
             entry["regressions"] = []
             print(f"note: no baseline for {name} (looked in "

@@ -10,7 +10,7 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from bench_diff import compare, gated_keys
+from bench_diff import compare, core_count_warning, gated_keys
 
 
 class GatedKeysTest(unittest.TestCase):
@@ -75,6 +75,28 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(compare("r", {"identical": True}, baseline, 0.2), [])
         self.assertEqual(
             len(compare("r", {"identical": False}, baseline, 0.2)), 1)
+
+
+class CoreCountTest(unittest.TestCase):
+    def test_different_counts_warn(self):
+        warning = core_count_warning("BENCH_x.json", {"hardware_threads": 2},
+                                     {"hardware_threads": 4})
+        self.assertIn("BENCH_x.json", warning)
+        self.assertIn("2", warning)
+        self.assertIn("4", warning)
+
+    def test_same_or_unknown_count_is_quiet(self):
+        self.assertIsNone(core_count_warning(
+            "r", {"hardware_threads": 4}, {"hardware_threads": 4}))
+        self.assertIsNone(core_count_warning("r", {}, {"hardware_threads": 4}))
+        self.assertIsNone(core_count_warning("r", {"hardware_threads": 4}, {}))
+
+    def test_count_never_gates(self):
+        # A different core count is a warning, not a regression.
+        baseline = {"hardware_threads": 4, "queries_per_s": 100}
+        fresh = {"hardware_threads": 1, "queries_per_s": 100}
+        self.assertNotIn("hardware_threads", dict(gated_keys(baseline)))
+        self.assertEqual(compare("r", fresh, baseline, 0.2), [])
 
 
 if __name__ == "__main__":
