@@ -100,16 +100,19 @@ void BM_CdnRttDiagnosis(benchmark::State& state) {
 BENCHMARK(BM_CdnRttDiagnosis)->Unit(benchmark::kMicrosecond);
 
 /// The paper's asymmetry (CDN ~3 min vs BGP < 5 s, "dominated by route
-/// computation") reproduced by disabling SPF memoization: every spatial
-/// join re-runs the historical route reconstruction.
+/// computation") reproduced by disabling SPF memoization and the engine's
+/// join memo (which otherwise keeps every path projection across calls):
+/// every spatial join re-runs the historical route reconstruction.
 void BM_CdnRttDiagnosisUncachedRoutes(benchmark::State& state) {
   CdnFixture& f = CdnFixture::instance();
   f.pipeline.routing().ospf().set_cache_enabled(false);
+  f.engine.set_join_cache_enabled(false);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.engine.diagnose(f.symptoms[i]));
     i = (i + 1) % f.symptoms.size();
   }
+  f.engine.set_join_cache_enabled(true);
   f.pipeline.routing().ospf().set_cache_enabled(true);
   state.SetItemsProcessed(state.iterations());
 }
@@ -118,11 +121,13 @@ BENCHMARK(BM_CdnRttDiagnosisUncachedRoutes)->Unit(benchmark::kMicrosecond);
 void BM_BgpFlapDiagnosisUncachedRoutes(benchmark::State& state) {
   BgpFixture& f = BgpFixture::instance();
   f.pipeline.routing().ospf().set_cache_enabled(false);
+  f.engine.set_join_cache_enabled(false);
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.engine.diagnose(f.symptoms[i]));
     i = (i + 1) % f.symptoms.size();
   }
+  f.engine.set_join_cache_enabled(true);
   f.pipeline.routing().ospf().set_cache_enabled(true);
   state.SetItemsProcessed(state.iterations());
 }

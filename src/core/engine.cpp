@@ -44,6 +44,8 @@ RcaEngine::RcaEngine(DiagnosisGraph graph, const EventStoreView& store,
         &reg->counter("grca_engine_evidence_matches_total");
     join_hits_total_ = &reg->counter("grca_join_cache_hits");
     join_misses_total_ = &reg->counter("grca_join_cache_misses");
+    spf_lookups_total_ = &reg->counter("grca_spf_lookups_total");
+    spf_runs_total_ = &reg->counter("grca_spf_runs_total");
     diagnosis_seconds_ = &reg->histogram("grca_engine_diagnosis_seconds");
   }
 }
@@ -100,7 +102,17 @@ void RcaEngine::join(const EventInstance& anchor, const DiagnosisRule& rule,
 }
 
 Diagnosis RcaEngine::diagnose(const EventInstance& symptom) {
-  return diagnose_with(symptom, memos_.front());
+  const routing::OspfSim::SpfStats spf_before = mapper_.ospf().spf_stats();
+  Diagnosis result = diagnose_with(symptom, memos_.front());
+  publish_spf(spf_before);
+  return result;
+}
+
+void RcaEngine::publish_spf(const routing::OspfSim::SpfStats& before) const {
+  if (!diagnoses_total_) return;
+  const routing::OspfSim::SpfStats after = mapper_.ospf().spf_stats();
+  spf_lookups_total_->inc(after.lookups - before.lookups);
+  spf_runs_total_->inc(after.runs - before.runs);
 }
 
 Diagnosis RcaEngine::diagnose_with(const EventInstance& symptom,
@@ -235,6 +247,7 @@ std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) {
   // counter. Neighbouring symptoms tend to share an incident, so a chunk
   // keeps their repeated joins inside one memo.
   const std::size_t chunk = (n + 4 * workers - 1) / (4 * workers);
+  const routing::OspfSim::SpfStats spf_before = mapper_.ospf().spf_stats();
   std::atomic<std::size_t> next{0};
   util::fork_join(workers, [&](unsigned w) {
     JoinMemo& memo = memos_[w];
@@ -245,6 +258,7 @@ std::vector<Diagnosis> RcaEngine::diagnose_all(unsigned threads) {
       }
     }
   });
+  publish_spf(spf_before);
   return out;
 }
 

@@ -117,6 +117,11 @@ class RcaEngine {
   /// once the store is warm.
   Diagnosis diagnose_with(const EventInstance& symptom, JoinMemo& memo) const;
 
+  /// Adds the mapper's SPF lookups and runs since `before` to the registry
+  /// counters: the simulator's tallies are shared by every worker, so they
+  /// are published once per diagnose() or diagnose_all() call.
+  void publish_spf(const routing::OspfSim::SpfStats& before) const;
+
   const DiagnosisGraph graph_;
   const EventStoreView& store_;
   const LocationMapper& mapper_;
@@ -133,6 +138,8 @@ class RcaEngine {
   obs::Counter* evidence_matches_total_ = nullptr;
   obs::Counter* join_hits_total_ = nullptr;
   obs::Counter* join_misses_total_ = nullptr;
+  obs::Counter* spf_lookups_total_ = nullptr;
+  obs::Counter* spf_runs_total_ = nullptr;
   obs::Histogram* diagnosis_seconds_ = nullptr;
 };
 

@@ -4,7 +4,8 @@
 #include "routing/ospf.h"
 
 #include <algorithm>
-#include <functional>
+
+#include "routing/radix_heap.h"
 
 namespace grca::routing {
 
@@ -13,9 +14,11 @@ using topology::RouterId;
 
 OspfSim::OspfSim(const topology::Network& net) : net_(net) {
   history_.resize(net.links().size());
+  initial_weight_.resize(net.links().size());
   for (const topology::LogicalLink& l : net.links()) {
     history_[l.id.value()].emplace_back(
         std::numeric_limits<util::TimeSec>::min(), l.ospf_weight);
+    initial_weight_[l.id.value()] = spf_weight(l.ospf_weight);
   }
   hop_begin_.reserve(net.routers().size() + 1);
   for (const topology::Router& r : net.routers()) {
@@ -37,6 +40,7 @@ void OspfSim::set_weight(LogicalLinkId link, util::TimeSec time,
     throw ConfigError("OspfSim: invalid weight " + std::to_string(new_weight));
   }
   int old = hist.back().second;
+  if (hist.size() == 1) changed_links_.push_back(link.value());
   hist.emplace_back(time, new_weight);
   log_.push_back(WeightChange{time, link, old, new_weight});
   // Maintain the sorted distinct change instants eagerly. The common case
@@ -54,8 +58,9 @@ void OspfSim::set_weight(LogicalLinkId link, util::TimeSec time,
   spf_cache_.clear();
 }
 
-std::shared_ptr<const OspfSim::SpfResult> OspfSim::run_spf(
+std::shared_ptr<const OspfSim::Distances> OspfSim::run_spf(
     RouterId src, util::TimeSec time) const {
+  spf_lookups_.fetch_add(1, std::memory_order_relaxed);
   std::uint64_t key =
       (static_cast<std::uint64_t>(src.value()) << 32) | epoch_at(time);
   {
@@ -67,7 +72,8 @@ std::shared_ptr<const OspfSim::SpfResult> OspfSim::run_spf(
   }
   // Dijkstra runs unlocked: concurrent misses on the same key duplicate the
   // computation but stay correct (last insert wins).
-  auto result = std::make_shared<SpfResult>(compute_spf(src, time));
+  spf_runs_.fetch_add(1, std::memory_order_relaxed);
+  auto result = std::make_shared<const Distances>(compute_spf(src, time));
   std::lock_guard lock(cache_mutex_);
   if (cache_enabled_) {
     if (spf_cache_.size() >= 8192) spf_cache_.clear();  // crude size bound
@@ -87,85 +93,69 @@ int OspfSim::weight_at(LogicalLinkId link, util::TimeSec time) const {
   return std::prev(it)->second;
 }
 
-OspfSim::SpfResult OspfSim::compute_spf(RouterId src,
+OspfSim::Distances OspfSim::compute_spf(RouterId src,
                                         util::TimeSec time) const {
-  const std::size_t n = hop_begin_.size() - 1;
-  using Item = std::pair<int, std::uint32_t>;  // (distance, router)
-  // Per-thread scratch reused across runs: each link's weight at `time`
-  // (kUnreachable when it carries no traffic), the heap, and the
-  // predecessor hops before they are copied into the exact-size result.
+  // Per-thread scratch reused across runs: each link's weight at `time` as
+  // spf_weight() reads it, and the queue.
   struct Scratch {
     std::vector<int> weight;
-    std::vector<Item> heap;
-    std::vector<std::uint32_t> preds;
+    RadixHeap heap;
   };
   thread_local Scratch scratch;
   std::vector<int>& weight = scratch.weight;
-  weight.resize(history_.size());
-  for (std::size_t l = 0; l < weight.size(); ++l) {
-    int w = weight_at(LogicalLinkId(static_cast<std::uint32_t>(l)), time);
-    weight[l] = (w == kDown || w == kCostedOut) ? kUnreachable : w;
+  weight.assign(initial_weight_.begin(), initial_weight_.end());
+  for (std::uint32_t l : changed_links_) {
+    weight[l] = spf_weight(weight_at(LogicalLinkId(l), time));
   }
 
-  SpfResult res;
-  res.dist.assign(n, kUnreachable);
-  std::vector<Item>& heap = scratch.heap;
+  // Weights are positive, so popped distances never decrease; OSPF metrics
+  // are below kCostedOut and a path has fewer hops than there are routers,
+  // so every distance fits the queue's 32-bit keys.
+  Distances dist(hop_begin_.size() - 1, kUnreachable);
+  RadixHeap& heap = scratch.heap;
   heap.clear();
-  res.dist[src.value()] = 0;
-  heap.emplace_back(0, src.value());
+  dist[src.value()] = 0;
+  heap.push(0, src.value());
   while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), std::greater<>());
-    auto [d, u] = heap.back();
-    heap.pop_back();
-    if (d > res.dist[u]) continue;
+    auto [key, u] = heap.pop();
+    const int d = static_cast<int>(key);
+    if (d > dist[u]) continue;
     for (std::uint32_t h = hop_begin_[u]; h < hop_begin_[u + 1]; ++h) {
       int w = weight[hops_[h].link];
       if (w == kUnreachable) continue;
       int nd = d + w;
-      if (nd < res.dist[hops_[h].peer]) {
-        res.dist[hops_[h].peer] = nd;
-        heap.emplace_back(nd, hops_[h].peer);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>());
+      if (nd < dist[hops_[h].peer]) {
+        dist[hops_[h].peer] = nd;
+        heap.push(static_cast<std::uint32_t>(nd), hops_[h].peer);
       }
     }
   }
-
-  // Every weight is positive and links are symmetric, so a hop out of a
-  // reached router v leads to an ECMP predecessor exactly when the peer's
-  // distance plus the link weight equals v's.
-  std::vector<std::uint32_t>& preds = scratch.preds;
-  preds.clear();
-  res.pred_begin.resize(n + 1);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    res.pred_begin[v] = static_cast<std::uint32_t>(preds.size());
-    if (res.dist[v] == kUnreachable) continue;
-    for (std::uint32_t h = hop_begin_[v]; h < hop_begin_[v + 1]; ++h) {
-      int w = weight[hops_[h].link];
-      int dp = res.dist[hops_[h].peer];
-      if (w != kUnreachable && dp != kUnreachable && dp + w == res.dist[v]) {
-        preds.push_back(h);
-      }
-    }
-  }
-  res.pred_begin[n] = static_cast<std::uint32_t>(preds.size());
-  res.preds.assign(preds.begin(), preds.end());
-  return res;
+  return dist;
 }
 
-std::vector<std::uint32_t> OspfSim::path_routers(const SpfResult& res,
-                                                 RouterId dst) const {
+std::vector<std::uint32_t> OspfSim::path_routers(
+    const Distances& dist, RouterId dst, util::TimeSec time,
+    std::vector<LogicalLinkId>* links) const {
   std::vector<std::uint32_t> out;
-  if (res.dist[dst.value()] == kUnreachable) return out;
-  // Walk the ECMP predecessor DAG backwards from dst.
-  std::vector<bool> seen(res.dist.size(), false);
+  if (dist[dst.value()] == kUnreachable) return out;
+  // Walk the ECMP predecessor DAG backwards from dst. Every weight is
+  // positive and links are symmetric, so a hop out of a reached router v
+  // leads to a predecessor exactly when the peer's distance plus the link
+  // weight equals v's. `time` lies in the epoch `dist` was computed for,
+  // so its weights are the ones Dijkstra read.
+  std::vector<bool> seen(dist.size(), false);
   std::vector<std::uint32_t> stack = {dst.value()};
   seen[dst.value()] = true;
   while (!stack.empty()) {
     std::uint32_t r = stack.back();
     stack.pop_back();
     out.push_back(r);
-    for (std::uint32_t p = res.pred_begin[r]; p < res.pred_begin[r + 1]; ++p) {
-      std::uint32_t peer = hops_[res.preds[p]].peer;
+    for (std::uint32_t h = hop_begin_[r]; h < hop_begin_[r + 1]; ++h) {
+      std::uint32_t peer = hops_[h].peer;
+      if (dist[peer] == kUnreachable) continue;
+      int w = spf_weight(weight_at(LogicalLinkId(hops_[h].link), time));
+      if (w == kUnreachable || dist[peer] + w != dist[r]) continue;
+      if (links) links->emplace_back(hops_[h].link);
       if (!seen[peer]) {
         seen[peer] = true;
         stack.push_back(peer);
@@ -177,29 +167,24 @@ std::vector<std::uint32_t> OspfSim::path_routers(const SpfResult& res,
 
 std::optional<int> OspfSim::distance(RouterId src, RouterId dst,
                                      util::TimeSec time) const {
-  int d = run_spf(src, time)->dist[dst.value()];
+  int d = (*run_spf(src, time))[dst.value()];
   if (d == kUnreachable) return std::nullopt;
   return d;
 }
 
 std::vector<RouterId> OspfSim::routers_on_paths(RouterId src, RouterId dst,
                                                 util::TimeSec time) const {
-  std::vector<std::uint32_t> routers = path_routers(*run_spf(src, time), dst);
+  std::vector<std::uint32_t> routers =
+      path_routers(*run_spf(src, time), dst, time);
   std::sort(routers.begin(), routers.end());
   return std::vector<RouterId>(routers.begin(), routers.end());
 }
 
 std::vector<LogicalLinkId> OspfSim::links_on_paths(RouterId src, RouterId dst,
                                                    util::TimeSec time) const {
-  std::shared_ptr<const SpfResult> res = run_spf(src, time);
   // The links on the paths are the predecessor hops of the routers on them.
   std::vector<LogicalLinkId> out;
-  for (std::uint32_t r : path_routers(*res, dst)) {
-    for (std::uint32_t p = res->pred_begin[r]; p < res->pred_begin[r + 1];
-         ++p) {
-      out.emplace_back(hops_[res->preds[p]].link);
-    }
-  }
+  path_routers(*run_spf(src, time), dst, time, &out);
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

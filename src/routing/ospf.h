@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -122,6 +123,19 @@ class OspfSim {
     spf_cache_.clear();
   }
 
+  /// SPF work since construction: memo lookups (one per distance(),
+  /// routers_on_paths() or links_on_paths() call) and Dijkstra runs (the
+  /// lookups that missed, or all of them with the memo off). Concurrent
+  /// misses on one key each run, so runs can vary across threaded runs.
+  struct SpfStats {
+    std::uint64_t lookups = 0;
+    std::uint64_t runs = 0;
+  };
+  SpfStats spf_stats() const noexcept {
+    return {spf_lookups_.load(std::memory_order_relaxed),
+            spf_runs_.load(std::memory_order_relaxed)};
+  }
+
   const topology::Network& network() const noexcept { return net_; }
 
  private:
@@ -130,33 +144,44 @@ class OspfSim {
     std::uint32_t link;
     std::uint32_t peer;
   };
-  /// One Dijkstra run from a source at one routing epoch. Router r's ECMP
-  /// predecessors (each a link into r on a shortest path and the router it
-  /// leaves) are the hops_ indexed by preds[pred_begin[r], pred_begin[r+1]).
-  struct SpfResult {
-    std::vector<int> dist;                  // kUnreachable if not reached
-    std::vector<std::uint32_t> pred_begin;  // one offset per router, + end
-    std::vector<std::uint32_t> preds;       // indices into hops_
-  };
+  /// One Dijkstra run from a source at one routing epoch: each router's
+  /// distance, kUnreachable if not reached. ECMP predecessors are not
+  /// stored; path walks derive them from these distances and the weights.
+  using Distances = std::vector<int>;
   static constexpr int kUnreachable = std::numeric_limits<int>::max();
 
+  /// A link weight as SPF reads it: kUnreachable when the link carries no
+  /// traffic.
+  static constexpr int spf_weight(int w) {
+    return (w == kDown || w == kCostedOut) ? kUnreachable : w;
+  }
   /// Memoized SPF: results are keyed by (src, weight-epoch) — see
   /// epoch_at(). The dominant query pattern (spatial projections repeatedly
   /// reconstructing paths around the same incidents) hits the cache. The
   /// cache is cleared on every set_weight.
-  std::shared_ptr<const SpfResult> run_spf(topology::RouterId src,
+  std::shared_ptr<const Distances> run_spf(topology::RouterId src,
                                            util::TimeSec time) const;
   /// Runs Dijkstra from src over the adjacency with the weights at `time`.
-  SpfResult compute_spf(topology::RouterId src, util::TimeSec time) const;
-  /// The routers on any shortest path to dst (dst included, in walk
-  /// order); empty if dst is unreachable.
-  std::vector<std::uint32_t> path_routers(const SpfResult& res,
-                                          topology::RouterId dst) const;
+  Distances compute_spf(topology::RouterId src, util::TimeSec time) const;
+  /// Walks every shortest path back from dst over distances computed at
+  /// `time`'s epoch. A hop out of router v is an ECMP predecessor when its
+  /// peer's distance plus the link's weight at `time` equals v's. Returns
+  /// the routers on the paths (dst included, in walk order; empty if dst
+  /// is unreachable); when `links` is set, appends each predecessor hop's
+  /// link to it.
+  std::vector<std::uint32_t> path_routers(
+      const Distances& dist, topology::RouterId dst, util::TimeSec time,
+      std::vector<topology::LogicalLinkId>* links = nullptr) const;
 
   const topology::Network& net_;
   /// Per-link ordered history of (time, weight); first entry is the initial
   /// weight at time -inf.
   std::vector<std::vector<std::pair<util::TimeSec, int>>> history_;
+  /// Each link's spf_weight() before any change, and the links that have
+  /// a change (in first-change order): an SPF run copies the former and
+  /// looks up only the latter.
+  std::vector<int> initial_weight_;
+  std::vector<std::uint32_t> changed_links_;
   /// Router adjacency, built once from the Network: router r's hops are
   /// hops_[hop_begin_[r], hop_begin_[r + 1]).
   std::vector<std::uint32_t> hop_begin_;
@@ -170,9 +195,10 @@ class OspfSim {
   /// the lock (concurrent misses may duplicate work, which is harmless).
   mutable std::mutex cache_mutex_;
   mutable bool cache_enabled_ = true;
-  mutable std::unordered_map<std::uint64_t,
-                             std::shared_ptr<const SpfResult>>
+  mutable std::unordered_map<std::uint64_t, std::shared_ptr<const Distances>>
       spf_cache_;
+  mutable std::atomic<std::uint64_t> spf_lookups_{0};
+  mutable std::atomic<std::uint64_t> spf_runs_{0};
 };
 
 }  // namespace grca::routing

@@ -424,8 +424,10 @@ TEST(JoinCacheMetrics, RegistryCountersMirrorStats) {
   obs::ScopedRegistry scoped(&registry);
   IspScenario s;
   RcaEngine engine(pop_graph(), s.store, s.mapper);
+  const routing::OspfSim::SpfStats spf_before = s.mapper.ospf().spf_stats();
   engine.diagnose_all(1);
   engine.diagnose_all(4);
+  engine.diagnose(s.store.all(engine.graph().root()).front());
   auto stats = engine.join_stats();
   EXPECT_GT(stats.misses, 0u);
   // Each diagnosis publishes its own memo's tallies, so after the calls the
@@ -433,6 +435,13 @@ TEST(JoinCacheMetrics, RegistryCountersMirrorStats) {
   auto snap = registry.snapshot();
   EXPECT_EQ(snap.counters.at("grca_join_cache_hits"), stats.hits);
   EXPECT_EQ(snap.counters.at("grca_join_cache_misses"), stats.misses);
+  // The SPF counters hold what the shared simulator's tallies grew by.
+  const routing::OspfSim::SpfStats spf = s.mapper.ospf().spf_stats();
+  EXPECT_GT(spf.lookups, spf_before.lookups);
+  EXPECT_EQ(snap.counters.at("grca_spf_lookups_total"),
+            spf.lookups - spf_before.lookups);
+  EXPECT_EQ(snap.counters.at("grca_spf_runs_total"),
+            spf.runs - spf_before.runs);
 }
 
 // ---- Concurrency hammer (the TSan gate) ------------------------------------

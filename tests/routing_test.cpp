@@ -1,11 +1,12 @@
 // Copyright (c) 2026 The G-RCA Reproduction Authors.
 // SPDX-License-Identifier: MIT
 //
-// Tests for the routing substrate: prefix trie LPM, OSPF SPF over
-// time-versioned weights (incl. ECMP), and BGP best-path emulation.
+// Tests for the routing substrate: prefix trie LPM, the SPF queue, OSPF SPF
+// over time-versioned weights (incl. ECMP), and BGP best-path emulation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <set>
@@ -14,6 +15,7 @@
 #include "routing/bgp.h"
 #include "routing/ospf.h"
 #include "routing/prefix_trie.h"
+#include "routing/radix_heap.h"
 #include "topology/topo_gen.h"
 #include "util/rng.h"
 
@@ -117,6 +119,38 @@ TEST_P(TrieLpmProperty, MatchesBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieLpmProperty, ::testing::Values(1, 2, 3));
+
+// ---- RadixHeap -------------------------------------------------------------
+
+// Dijkstra's pattern: pop the smallest key, then push keys at or above it.
+// Every pop must return the smallest key still queued, with pushed keys
+// differing from the last pop in every bit position up to 2^31 (a queue
+// that misorders pops still gives Dijkstra the right distances, only later,
+// so the SPF reference tests cannot see it).
+TEST(RadixHeap, PopsTheSmallestKeyAtEveryBitWidth) {
+  util::Rng rng(41);
+  RadixHeap heap;
+  for (int round = 0; round < 4; ++round) {
+    heap.clear();
+    std::multiset<std::uint32_t> queued;
+    std::uint32_t last = 0;
+    for (int step = 0; step < 3000; ++step) {
+      for (int k = static_cast<int>(rng.range(0, 3)); k > 0; --k) {
+        const auto width = static_cast<std::uint32_t>(rng.below(32));
+        const std::uint32_t room = (1u << 31) - last;
+        const auto delta = static_cast<std::uint32_t>(
+            rng.below(std::min<std::uint64_t>(room, 1ull << width)));
+        heap.push(last + delta, static_cast<std::uint32_t>(step));
+        queued.insert(last + delta);
+      }
+      ASSERT_EQ(heap.size(), queued.size());
+      if (heap.empty()) continue;
+      last = heap.pop().first;
+      ASSERT_EQ(last, *queued.begin()) << "round " << round << " step " << step;
+      queued.erase(queued.begin());
+    }
+  }
+}
 
 // ---- OSPF ------------------------------------------------------------------
 
@@ -452,6 +486,113 @@ TEST_P(SpfReferenceProperty, MatchesBellmanFordOverEveryPair) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SpfReferenceProperty,
                          ::testing::Range(1, 13));
+
+/// Long chains of heavy links (weights 1..65,534) plus random chords:
+/// distances pass 2^16, so the Dijkstra queue's keys differ from each
+/// other in high bits as well as low ones.
+class HeavySpfReferenceProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(HeavySpfReferenceProperty, MatchesBellmanFordOnLongChains) {
+  util::Rng rng(GetParam());
+  Network net;
+  PopId pop = net.add_pop("pop", util::TimeZone::utc());
+  const int n = static_cast<int>(rng.range(24, 40));
+  for (int i = 0; i < n; ++i) {
+    net.add_router("r" + std::to_string(i), pop, RouterRole::kCore,
+                   Ipv4Addr(0x0AFF0000u + i));
+  }
+  constexpr int kMaxWeight = kCostedOut - 1;
+  std::uint32_t subnet = 0x0A000000;
+  for (int i = 0; i + 1 < n; ++i) {
+    connect(net, RouterId(static_cast<std::uint32_t>(i)),
+            RouterId(static_cast<std::uint32_t>(i + 1)),
+            static_cast<int>(rng.range(1, kMaxWeight)), subnet);
+  }
+  const int chords = static_cast<int>(rng.range(n / 4, n / 2));
+  for (int i = 0; i < chords; ++i) {
+    auto x = static_cast<std::uint32_t>(rng.below(n));
+    auto y = static_cast<std::uint32_t>(rng.below(n - 1));
+    if (y >= x) ++y;
+    connect(net, RouterId(x), RouterId(y),
+            static_cast<int>(rng.range(1, kMaxWeight)), subnet);
+  }
+  OspfSim ospf(net);
+  int farthest = 0;
+  for (const topology::Router& r : net.routers()) {
+    farthest = std::max(farthest,
+                        ospf.distance(RouterId(0), r.id, -1000).value());
+  }
+  EXPECT_GT(farthest, 1 << 16);
+  std::vector<util::TimeSec> times =
+      random_weight_changes(rng, ospf, static_cast<int>(rng.range(2, 6)),
+                            kMaxWeight);
+  const std::size_t routers = net.routers().size();
+  for (bool cached : {true, false}) {
+    ospf.set_cache_enabled(cached);
+    for (util::TimeSec t : times) {
+      for (int i = 0; i < 12; ++i) {
+        RouterId src(static_cast<std::uint32_t>(rng.below(routers)));
+        RouterId dst(static_cast<std::uint32_t>(rng.below(routers)));
+        expect_matches_reference(net, ospf, src, dst, t);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HeavySpfReferenceProperty,
+                         ::testing::Range(1, 7));
+
+// One link of the diamond goes positive -> costed out -> down -> positive.
+// Path walks find ECMP predecessors from the memo's distances and the
+// weights at the query time, so queries at two instants of one epoch, and
+// one second before, at and after each change, must see that epoch's
+// weights — whether the memo was filled by an earlier query or not.
+TEST(Ospf, PathsReadTheQueryEpochsWeights) {
+  Diamond g;
+  OspfSim ospf(g.net);
+  ospf.set_weight(g.bd, 100, kCostedOut);
+  ospf.set_weight(g.bd, 200, kDown);
+  ospf.set_weight(g.bd, 300, 1);
+  const std::vector<RouterId> all = {g.a, g.b, g.c, g.d};
+  const std::vector<RouterId> via_c = {g.a, g.c, g.d};
+  const std::vector<LogicalLinkId> ecmp = {g.ab, g.ac, g.bd, g.cd};
+  const std::vector<LogicalLinkId> c_only = {g.ac, g.cd};
+  const std::vector<util::TimeSec> times = {50,  80,  99,  100, 101, 120, 180,
+                                            199, 200, 201, 299, 300, 301, 400};
+  for (bool cached : {true, false}) {
+    ospf.set_cache_enabled(cached);
+    for (util::TimeSec t : times) {
+      SCOPED_TRACE("t " + std::to_string(t) + (cached ? " cached" : ""));
+      const bool bd_up = t < 100 || t >= 300;
+      EXPECT_EQ(ospf.distance(g.a, g.d, t), 2);
+      EXPECT_EQ(ospf.routers_on_paths(g.a, g.d, t), bd_up ? all : via_c);
+      EXPECT_EQ(ospf.links_on_paths(g.a, g.d, t), bd_up ? ecmp : c_only);
+      EXPECT_EQ(ospf.distance(g.b, g.d, t), bd_up ? 1 : 3);
+      for (RouterId s : all) {
+        for (RouterId d : all) expect_matches_reference(g.net, ospf, s, d, t);
+      }
+    }
+  }
+}
+
+// Every query is one memo lookup; only misses (or every lookup, with the
+// memo off) run Dijkstra.
+TEST(Ospf, SpfStatsCountLookupsAndRuns) {
+  Diamond g;
+  OspfSim ospf(g.net);
+  ospf.set_weight(g.bd, 100, 5);
+  ospf.distance(g.a, g.d, 10);
+  ospf.links_on_paths(g.a, g.b, 20);        // same source and epoch: a hit
+  ospf.routers_on_paths(g.a, g.d, 150);     // next epoch: a miss
+  ospf.distance(g.b, g.d, 150);             // other source: a miss
+  EXPECT_EQ(ospf.spf_stats().lookups, 4u);
+  EXPECT_EQ(ospf.spf_stats().runs, 3u);
+  ospf.set_cache_enabled(false);
+  ospf.distance(g.a, g.d, 10);
+  ospf.distance(g.a, g.d, 10);
+  EXPECT_EQ(ospf.spf_stats().lookups, 6u);
+  EXPECT_EQ(ospf.spf_stats().runs, 5u);
+}
 
 TEST(Ospf, GeneratedIspMatchesBellmanFord) {
   Network net = topology::generate_isp(topology::TopoParams{});

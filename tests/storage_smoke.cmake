@@ -1,10 +1,11 @@
 # The on-disk storage gate, end to end through the grca CLI. A sealed store
 # and a streaming write-ahead log must both diagnose byte-identically to
 # re-extraction from the raw corpus, across a process boundary and through
-# compaction, a WAL torn inside its header must stay recoverable, a WAL
-# whose full-length header is damaged must be listed after every sealed
-# segment and refused, and a corrupted segment must fail verification and
-# inspection.
+# compaction, an innet store (whose joins run SPF) must diagnose alike at
+# one and four threads, a WAL torn inside its header must stay
+# recoverable, a WAL whose full-length header is damaged must be listed
+# after every sealed segment and refused, and a corrupted segment must
+# fail verification and inspection.
 #   cmake -DGRCA=path/to/grca -DPYTHON=path/to/python3 -DWORK=scratch/dir
 #         -P storage_smoke.cmake
 # WORK is emptied first and left behind for inspection.
@@ -52,6 +53,33 @@ string(JSON kind ERROR_VARIABLE json_error TYPE "${trace}")
 if(json_error)
   message(FATAL_ERROR "spans.trace.json is not valid JSON: ${json_error}")
 endif()
+
+# Path-dependent diagnosis: innet projects locations onto OSPF paths, so
+# its joins run SPF (bgp's make no SPF lookup). The scored breakdown must
+# not depend on the thread count or on reading a sealed store.
+run_grca(out simulate --study innet --out innet-data --days 3 --symptoms 100
+         --store-out innet-log)
+run_grca(innet_t1 diagnose --study innet --data innet-data --score
+         --threads 1 --metrics-out innet-t1.prom)
+file(WRITE "${WORK}/innet_t1.txt" "${innet_t1}")
+file(STRINGS "${WORK}/innet-t1.prom" lookups REGEX "^grca_spf_lookups_total ")
+if(NOT lookups MATCHES "^grca_spf_lookups_total [1-9]")
+  message(FATAL_ERROR "innet diagnosis made no SPF lookup: '${lookups}'")
+endif()
+run_grca(innet_t4 diagnose --study innet --data innet-data --score
+         --threads 4)
+run_grca(innet_store_t1 diagnose --study innet --data innet-data --score
+         --threads 1 --store innet-log)
+run_grca(innet_store_t4 diagnose --study innet --data innet-data --score
+         --threads 4 --store innet-log)
+foreach(name innet_t4 innet_store_t1 innet_store_t4)
+  file(WRITE "${WORK}/${name}.txt" "${${name}}")
+  if(NOT "${${name}}" STREQUAL "${innet_t1}")
+    message(FATAL_ERROR "${name}: innet diagnosis differs from one thread "
+                        "without a store; diff ${WORK}/innet_t1.txt "
+                        "${WORK}/${name}.txt")
+  endif()
+endforeach()
 
 # Streaming write-ahead persistence survives restart and compaction.
 run_grca(out replay --study bgp --data store-data --rate max
